@@ -6,12 +6,13 @@
 // the paper's headline motivation ("typical data-center workloads can wear
 // out an MLC SSD cache within months") made concrete.
 //
-// Usage: lifetime_explorer [locality%]   (default 25)
+// Usage: lifetime_explorer [locality%]   (default 25; a number in [0, 100])
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <unordered_map>
 
 #include "blockdev/ssd_model.hpp"
+#include "cli_args.hpp"
 #include "common/table.hpp"
 #include "compress/content.hpp"
 #include "harness/harness.hpp"
@@ -19,7 +20,13 @@
 
 int main(int argc, char** argv) {
   using namespace kdd;
-  const double locality = argc > 1 ? std::atof(argv[1]) / 100.0 : 0.25;
+  const std::optional<double> locality_pct =
+      argc > 1 ? cli::parse_double(argv[1], 0.0, 100.0) : 25.0;
+  if (!locality_pct) {
+    std::fprintf(stderr, "usage: %s [locality%%]   (a number in [0, 100])\n", argv[0]);
+    return 2;
+  }
+  const double locality = *locality_pct / 100.0;
 
   // One simulated "day": 2 GiB of 4 KiB requests, 25 % reads, Zipfian.
   ZipfWorkloadConfig wcfg;

@@ -7,11 +7,12 @@
 // Usage: reliability_drill [--seed N] [--out DIR] [--no-power-cut]
 // Exit code 0 == zero integrity violations.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 
+#include "cli_args.hpp"
 #include "harness/drill.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -24,15 +25,22 @@ int main(int argc, char** argv) {
   DrillConfig cfg;
   cfg.power_cut_mid_rebuild = true;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const std::optional<std::uint64_t> v = cli::parse_u64(argv[++i]);
+      ok = v.has_value();
+      seed = v.value_or(seed);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--no-power-cut") == 0) {
       cfg.power_cut_mid_rebuild = false;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
-                   "usage: %s [--seed N] [--out DIR] [--no-power-cut]\n",
+                   "usage: %s [--seed N] [--out DIR] [--no-power-cut]\n"
+                   "  N: unsigned decimal below 2^64\n",
                    argv[0]);
       return 2;
     }

@@ -15,10 +15,11 @@
 // discrete-event model — the mean/percentile response times of an open-loop
 // replay.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "cli_args.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "harness/harness.hpp"
@@ -42,9 +43,19 @@ Trace load_workload(const std::string& name) {
 int main(int argc, char** argv) {
   const std::string workload = argc > 1 ? argv[1] : "Fin1";
   const std::string policy_name = argc > 2 ? argv[2] : "all";
-  const std::uint64_t cache_kpages =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 32;
-  const double locality = argc > 4 ? std::atof(argv[4]) / 100.0 : 0.25;
+  // The cache holds cache_kpages * 1000 pages, so that product must fit.
+  const std::optional<std::uint64_t> cache_kpages =
+      argc > 3 ? cli::parse_u64(argv[3], 1, UINT64_MAX / 1000) : 32;
+  const std::optional<double> locality_pct =
+      argc > 4 ? cli::parse_double(argv[4], 0.0, 100.0) : 25.0;
+  if (!cache_kpages || !locality_pct) {
+    std::fprintf(stderr,
+                 "usage: %s [workload] [policy] [cache_kpages] [locality%%]\n"
+                 "  cache_kpages: positive integer; locality%%: number in [0, 100]\n",
+                 argv[0]);
+    return 2;
+  }
+  const double locality = *locality_pct / 100.0;
 
   Trace trace = load_workload(workload);
   const TraceStats tstats = compute_stats(trace);
@@ -103,7 +114,7 @@ int main(int argc, char** argv) {
                    "Mean resp (ms)", "p99 (ms)"});
   for (const PolicyKind kind : kinds) {
     PolicyConfig cfg;
-    cfg.ssd_pages = cache_kpages * 1000;
+    cfg.ssd_pages = *cache_kpages * 1000;
     cfg.delta_ratio_mean = locality;
     // Counter pass for traffic/hit numbers.
     auto counter_policy = make_policy(kind, cfg, geo);

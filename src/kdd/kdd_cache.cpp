@@ -924,15 +924,18 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
       return raid_.read_page(lba, out, plan);
     }
     // Old page: combine the DAZ copy with its latest delta (Section III-A).
+    // Neither read needs the other's result, so they overlap.
     KDD_DCHECK(slot.state == PageState::kOld);
+    PlanFork<2> fork(plan);
     if (ssd_.real()) {
       ScratchPage daz;
       Delta d;
-      if (ssd_.read_data(idx, *daz, plan) != IoStatus::kOk ||
-          !load_delta(slot, d, plan)) {
+      if (ssd_.read_data(idx, *daz, fork.lane(0)) != IoStatus::kOk ||
+          !load_delta(slot, d, fork.lane(1))) {
         // DAZ base or delta unreadable. The array already holds the newest
         // contents (write hits go to RAID before delta staging), so heal the
         // group and serve from the array.
+        fork.join();
         note_media_fallback("old page/delta unreadable on read hit");
         heal_group(raid_.layout().group_of(lba), plan);
         return raid_.read_page(lba, out, plan);
@@ -940,8 +943,8 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
       // Combine straight into the caller's buffer: no staging copy.
       apply_delta_into(*daz, d, out);
     } else {
-      ssd_.read_data(idx, {}, plan);
-      charge_delta_read(slot, plan);
+      ssd_.read_data(idx, {}, fork.lane(0));
+      charge_delta_read(slot, fork.lane(1));
     }
     return IoStatus::kOk;
   }
@@ -1027,16 +1030,21 @@ IoStatus KddCache::write_inner(Lba lba, std::span<const std::uint8_t> data,
 
   if (idx == CacheSets::kNone) {
     // Write miss: conventional parity update (degraded-capable: folds the
-    // group's deltas and retries when the array refuses), then admit.
+    // group's deltas and retries when the array refuses), then admit. The
+    // RMW and the write-alloc fill overlap; the mapping entry that claims
+    // the array write as clean waits for both.
     ++stats_.write_misses;
     obs::health_cache_miss();
     note_boundary_miss(lba);
-    const IoStatus st = degraded_write_page(lba, data, plan);
+    PlanFork<2> fork(plan);
+    const std::uint64_t folds = degraded_delta_folds_;
+    const IoStatus st = degraded_write_page(lba, data, fork.lane(0));
     if (st != IoStatus::kOk) return st;
+    if (degraded_delta_folds_ != folds) fork.join();  // fill waits for the fold
     if (!admit(lba)) return IoStatus::kOk;
     const std::uint32_t slot = alloc_daz_slot(set, plan);
     if (slot == CacheSets::kNone) return IoStatus::kOk;
-    if (ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data, plan) !=
+    if (ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data, fork.lane(1)) !=
         IoStatus::kOk) {
       note_media_fallback("write-alloc admission write failed");
       ssd_.trim_data(slot);
@@ -1045,19 +1053,22 @@ IoStatus KddCache::write_inner(Lba lba, std::span<const std::uint8_t> data,
     }
     sets_.slot(slot).lba = lba;
     sets_.set_state(slot, PageState::kClean);
+    fork.join();
     add_map_entry(slot, plan);
     return IoStatus::kOk;
   }
 
   ++stats_.write_hits;
   obs::health_cache_hit();
-  return write_hit_locked(lba, data, set, idx, compute_delta(idx, data, plan),
-                          plan);
+  WriteHitFork fork(plan);
+  DeltaInfo info = compute_delta(idx, data, fork.lane(kBaseLane));
+  return write_hit_locked(lba, data, set, idx, std::move(info), fork);
 }
 
 IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
                                     std::uint32_t set, std::uint32_t idx,
-                                    DeltaInfo info, IoPlan* plan) {
+                                    DeltaInfo info, WriteHitFork& fork) {
+  IoPlan* const plan = fork.parent();
   CacheSets::CacheSlot& slot = sets_.slot(idx);
   if (info.ok) {
     note_compressibility(static_cast<double>(info.packed) /
@@ -1072,6 +1083,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
       // group's deltas, and the fold must not see a cache copy that is ahead
       // of the member's disk contents (it would bake the unwritten update
       // into parity, which the array write would then re-apply).
+      fork.join();
       note_media_fallback("daz base unreadable on clean write hit");
       const IoStatus st = degraded_write_page(lba, data, plan);
       if (st != IoStatus::kOk) {
@@ -1095,6 +1107,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
       // Incompressible delta: no benefit in deferring — stay write-through
       // (degraded-capable: folds the group and retries when the array
       // refuses). Array first, cache refresh second — see above.
+      fork.join();
       ++delta_fallbacks_;
       kdd_metrics().delta_fallbacks.inc();
       const IoStatus st = degraded_write_page(lba, data, plan);
@@ -1110,8 +1123,9 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
       }
       return IoStatus::kOk;
     }
-    const IoStatus st = raid_.write_page_nopar(lba, data, plan);
+    const IoStatus st = raid_.write_page_nopar(lba, data, fork.lane(kArrayLane));
     if (st != IoStatus::kOk) {
+      fork.join();
       if (!page_down(lba)) return st;
       // The page's member is down (failed disk / ahead of the rebuild
       // cursor): the nopar fast path would strand the new data on a lost
@@ -1133,7 +1147,8 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     }
     sets_.set_state(idx, PageState::kOld);
     note_old_transition(idx);
-    stage_delta(lba, idx, std::move(info), plan);
+    stage_delta(lba, idx, std::move(info), fork.lane(kCommitLane));
+    fork.join();
     maybe_clean(plan);
     return IoStatus::kOk;
   }
@@ -1143,6 +1158,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     // The old page's DAZ base is gone, so neither the previous delta chain
     // nor a new delta can be trusted. Heal the whole group (the array holds
     // the newest data), then write conventionally and re-admit clean.
+    fork.join();
     note_media_fallback("daz base unreadable on old write hit");
     heal_group(raid_.layout().group_of(lba), plan);
     const IoStatus st = degraded_write_page(lba, data, plan);
@@ -1162,8 +1178,9 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
   }
   // compute_delta() diffs against the DAZ copy, so `info` is exactly the
   // delta the stale parity needs — the previous delta is superseded.
-  const IoStatus st = raid_.write_page_nopar(lba, data, plan);
+  const IoStatus st = raid_.write_page_nopar(lba, data, fork.lane(kArrayLane));
   if (st != IoStatus::kOk) {
+    fork.join();
     if (!page_down(lba)) return st;
     // Old page on a down member. Fold the group's deltas first (the old
     // page's previous version is still encoded in the stale parity), then
@@ -1205,13 +1222,15 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     return IoStatus::kOk;
   }
   if (info.packed > delta_admit_limit()) {
+    fork.join();
     ++delta_fallbacks_;
-  kdd_metrics().delta_fallbacks.inc();
+    kdd_metrics().delta_fallbacks.inc();
     resolve_and_drop(idx, &info, plan);
     return IoStatus::kOk;
   }
   invalidate_delta(idx, plan);
-  stage_delta(lba, idx, std::move(info), plan);
+  stage_delta(lba, idx, std::move(info), fork.lane(kCommitLane));
+  fork.join();
   maybe_clean(plan);
   return IoStatus::kOk;
 }
@@ -1267,7 +1286,9 @@ IoStatus KddCache::write_prepared(Lba lba, std::span<const std::uint8_t> data,
   DeltaInfo info;
   info.blob = std::move(delta.blob);
   info.packed = delta.packed;
-  return write_hit_locked(lba, data, set, idx, std::move(info), plan);
+  // write_snapshot read the base with no plan, so the base lane stays empty.
+  WriteHitFork fork(plan);
+  return write_hit_locked(lba, data, set, idx, std::move(info), fork);
 }
 
 // ---------------------------------------------------------------------------

@@ -119,6 +119,7 @@ void ScrapeServer::serve_loop() {
       if (sp != std::string::npos) path = req.substr(4, sp - 4);
     }
     const ScrapeResponse r = handler_.handle(path);
+    served_.fetch_add(1, std::memory_order_release);
     char head[160];
     std::snprintf(head, sizeof head,
                   "HTTP/1.0 %d %s\r\nContent-Type: %s\r\n"
@@ -128,7 +129,6 @@ void ScrapeServer::serve_loop() {
     write_all(fd, head, std::strlen(head));
     write_all(fd, r.body.data(), r.body.size());
     ::close(fd);
-    served_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -72,9 +72,11 @@ class ScrapeServer {
   /// Stops accepting, joins the acceptor thread. Idempotent.
   void stop();
 
-  /// Connections served so far (including 404s).
+  /// Connections served so far (including 404s). A request is counted
+  /// before its response is written, so a client that has read a whole
+  /// response already sees it here.
   std::uint64_t requests_served() const {
-    return served_.load(std::memory_order_relaxed);
+    return served_.load(std::memory_order_acquire);
   }
 
  private:

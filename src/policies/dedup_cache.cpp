@@ -97,9 +97,11 @@ IoStatus DedupCachePolicy::write(Lba lba, std::span<const std::uint8_t> data,
   } else {
     ++stats_.write_misses;
   }
-  const IoStatus st = raid_.write_page(lba, data, plan);  // write-through
+  // Write-through; the array write and the cache insert overlap.
+  PlanFork<2> fork(plan);
+  const IoStatus st = raid_.write_page(lba, data, fork.lane(0));
   if (st != IoStatus::kOk) return st;
-  insert(lba, data, SsdWriteKind::kWriteUpdate, plan);
+  insert(lba, data, SsdWriteKind::kWriteUpdate, fork.lane(1));
   return IoStatus::kOk;
 }
 

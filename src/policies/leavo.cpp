@@ -89,11 +89,16 @@ IoStatus LeavOPolicy::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
 IoStatus LeavOPolicy::write(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan) {
   const std::uint32_t set = set_for(lba);
   const std::uint32_t idx = sets_.find_data(set, lba);
+  // The array write (lane 0) and the cache write (lane 1) are independent:
+  // they overlap. Metadata that maps a pinned pair follows the cache write
+  // in its lane; a clean mapping claims the array write too, so it waits
+  // for the join.
+  PlanFork<2> fork(plan);
 
   if (idx == CacheSets::kNone) {
     // Write miss: conventional parity update + allocation.
     ++stats_.write_misses;
-    const IoStatus st = raid_.write_page(lba, data, plan);
+    const IoStatus st = raid_.write_page(lba, data, fork.lane(0));
     if (st != IoStatus::kOk) return st;
     const std::uint32_t slot = take_slot(set);
     if (slot == CacheSets::kNone) {
@@ -101,9 +106,10 @@ IoStatus LeavOPolicy::write(Lba lba, std::span<const std::uint8_t> data, IoPlan*
       --stats_.write_misses;
       return IoStatus::kOk;
     }
-    ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data, plan);
+    ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data, fork.lane(1));
     sets_.slot(slot).lba = lba;
     sets_.set_state(slot, PageState::kClean);
+    fork.join();
     note_metadata(slot, plan);
     return IoStatus::kOk;
   }
@@ -114,8 +120,9 @@ IoStatus LeavOPolicy::write(Lba lba, std::span<const std::uint8_t> data, IoPlan*
   if (slot.state == PageState::kNewVersion) {
     // Already a dirty pair: overwrite the new version; the pair's mapping is
     // unchanged, so no metadata update is needed.
-    ssd_.write_data(idx, SsdWriteKind::kWriteUpdate, data, plan);
-    const IoStatus st = raid_.write_page_nopar(lba, data, plan);
+    ssd_.write_data(idx, SsdWriteKind::kWriteUpdate, data, fork.lane(1));
+    const IoStatus st = raid_.write_page_nopar(lba, data, fork.lane(0));
+    fork.join();
     maybe_clean(plan);
     return st;
   }
@@ -128,21 +135,22 @@ IoStatus LeavOPolicy::write(Lba lba, std::span<const std::uint8_t> data, IoPlan*
   if (partner == CacheSets::kNone) {
     // No room for a second version: degrade to write-through for this write.
     sets_.set_state(idx, PageState::kClean);
-    ssd_.write_data(idx, SsdWriteKind::kWriteUpdate, data, plan);
+    ssd_.write_data(idx, SsdWriteKind::kWriteUpdate, data, fork.lane(1));
     sets_.lru_touch(idx);
-    return raid_.write_page(lba, data, plan);
+    return raid_.write_page(lba, data, fork.lane(0));
   }
   // Pin the pair: idx keeps the old version, partner takes the new one.
-  ssd_.write_data(partner, SsdWriteKind::kWriteUpdate, data, plan);
+  ssd_.write_data(partner, SsdWriteKind::kWriteUpdate, data, fork.lane(1));
   sets_.slot(partner).lba = lba;
   sets_.set_state(partner, PageState::kNewVersion);
   sets_.slot(idx).partner = partner;
   sets_.slot(partner).partner = idx;
   pinned_pages_ += 2;
   ++dirty_groups_[raid_.layout().group_of(lba)];
-  note_metadata(idx, plan);
-  note_metadata(partner, plan);
-  const IoStatus st = raid_.write_page_nopar(lba, data, plan);
+  note_metadata(idx, fork.lane(1));
+  note_metadata(partner, fork.lane(1));
+  const IoStatus st = raid_.write_page_nopar(lba, data, fork.lane(0));
+  fork.join();
   maybe_clean(plan);
   return st;
 }

@@ -43,18 +43,20 @@ IoStatus WriteThroughPolicy::write(Lba lba, std::span<const std::uint8_t> data,
                                    IoPlan* plan) {
   const std::uint32_t set = set_for(lba);
   const std::uint32_t idx = sets_.find_data(set, lba);
-  const IoStatus st = raid_.write_page(lba, data, plan);
+  // The array write and the cache write are independent: they overlap.
+  PlanFork<2> fork(plan);
+  const IoStatus st = raid_.write_page(lba, data, fork.lane(0));
   if (st != IoStatus::kOk) return st;
   if (idx != CacheSets::kNone) {
     ++stats_.write_hits;
     sets_.lru_touch(idx);
-    ssd_.write_data(idx, SsdWriteKind::kWriteUpdate, data, plan);
+    ssd_.write_data(idx, SsdWriteKind::kWriteUpdate, data, fork.lane(1));
     return IoStatus::kOk;
   }
   ++stats_.write_misses;
   const std::uint32_t slot = take_slot(set);
   KDD_CHECK(slot != CacheSets::kNone);
-  ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data, plan);
+  ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data, fork.lane(1));
   sets_.slot(slot).lba = lba;
   sets_.set_state(slot, PageState::kClean);
   return IoStatus::kOk;

@@ -689,5 +689,24 @@ TEST(ScrapeServer, ServesOverLoopbackWithEphemeralPort) {
   EXPECT_FALSE(server.running());
 }
 
+TEST(ScrapeServer, CountsEachRequestBeforeTheClientSeesItsResponse) {
+  obs::HealthHandler handler(nullptr);
+  obs::ScrapeServer server(handler);
+  if (!server.start(0)) {
+    GTEST_SKIP() << "cannot bind loopback in this environment";
+  }
+  EXPECT_EQ(server.requests_served(), 0u);
+  for (std::uint64_t n = 1; n <= 8; ++n) {
+    int status = 0;
+    ASSERT_TRUE(obs::http_get(server.port(), n % 2 ? "/health" : "/missing",
+                              nullptr, &status));
+    EXPECT_EQ(status, n % 2 ? 200 : 404);
+    // http_get returns once it has read the whole response, so the count
+    // must already include this request — exactly, not eventually.
+    EXPECT_EQ(server.requests_served(), n);
+  }
+  server.stop();
+}
+
 }  // namespace
 }  // namespace kdd
