@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"
@@ -44,6 +45,10 @@ struct PresetCase {
   std::uint64_t unique_total_k;  // Table I, thousands of pages
   std::uint64_t requests_k;
 };
+
+// Without this gtest prints the case as raw bytes, `name` pointer included,
+// so the discovered ctest name changed with every load address.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
 
 class PresetTest : public ::testing::TestWithParam<PresetCase> {};
 
