@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/kernels.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -58,14 +59,9 @@ FaultInjectingDevice::FaultInjectingDevice(BlockDevice* inner, FaultConfig confi
 }
 
 std::uint64_t FaultInjectingDevice::page_checksum(std::span<const std::uint8_t> data) {
-  // 64-bit FNV-1a: fast enough for the 4 KiB hot path, strong enough that a
-  // stale checksum reliably flags bit rot (models a T10-DIF-style tag).
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  // Models a T10-DIF-style tag: every single-bit flip and, with overwhelming
+  // probability, every torn sector prefix leaves the stored value stale.
+  return kern::page_hash(kern::kPageHashSeed, data);
 }
 
 void FaultInjectingDevice::attach_rail(std::shared_ptr<PowerRail> rail) {

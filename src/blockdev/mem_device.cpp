@@ -1,6 +1,5 @@
 #include "blockdev/mem_device.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -8,7 +7,7 @@
 namespace kdd {
 
 MemBlockDevice::MemBlockDevice(std::uint64_t pages)
-    : pages_(pages), data_(pages * kPageSize, 0) {
+    : pages_(pages), data_(pages * kPageSize) {
   KDD_CHECK(pages > 0);
 }
 
@@ -51,7 +50,7 @@ IoStatus MemBlockDevice::write_multi(std::span<const PageWrite> batch,
 }
 
 void MemBlockDevice::replace() {
-  std::fill(data_.begin(), data_.end(), std::uint8_t{0});
+  data_.release();
   failed_ = false;
 }
 
@@ -62,9 +61,8 @@ std::span<const std::uint8_t> MemBlockDevice::raw_page(Lba page) const {
 
 void MemBlockDevice::corrupt_page(Lba page, std::uint8_t xor_mask) {
   KDD_CHECK(page < pages_);
-  for (std::uint32_t i = 0; i < kPageSize; ++i) {
-    data_[page * kPageSize + i] ^= xor_mask;
-  }
+  std::uint8_t* p = data_.data() + page * kPageSize;
+  for (std::uint32_t i = 0; i < kPageSize; ++i) p[i] ^= xor_mask;
 }
 
 }  // namespace kdd

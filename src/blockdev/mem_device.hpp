@@ -4,9 +4,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "blockdev/block_device.hpp"
+#include "common/zero_mapping.hpp"
 
 namespace kdd {
 
@@ -21,6 +21,7 @@ class MemBlockDevice final : public BlockDevice {
   std::uint64_t num_pages() const override { return pages_; }
 
   /// Replaces the device with a blank one (models swapping in a spare disk).
+  /// The old image's memory goes back to the kernel.
   void replace();
 
   /// Direct access for tests/scrubbing (bypasses failure state and counters).
@@ -29,7 +30,7 @@ class MemBlockDevice final : public BlockDevice {
 
  private:
   std::uint64_t pages_;
-  std::vector<std::uint8_t> data_;
+  ZeroFillMapping data_;  ///< committed on first write
 };
 
 }  // namespace kdd

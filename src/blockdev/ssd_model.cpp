@@ -17,7 +17,7 @@ SsdModel::SsdModel(const SsdConfig& config) : config_(config) {
   num_blocks_ = (static_cast<std::uint64_t>(phys_pages_d) + config_.pages_per_block - 1) /
                     config_.pages_per_block +
                 config_.gc_free_block_threshold + 1;
-  flash_.resize(physical_pages() * kPageSize, 0);
+  flash_ = ZeroFillMapping(physical_pages() * kPageSize);
   l2p_.assign(config_.logical_pages, kInvalid64);
   p2l_.assign(physical_pages(), kInvalid64);
   blocks_.assign(num_blocks_, BlockMeta{});
@@ -103,7 +103,7 @@ void SsdModel::trim(Lba page) {
 }
 
 void SsdModel::replace() {
-  std::fill(flash_.begin(), flash_.end(), std::uint8_t{0});
+  flash_.release();
   std::fill(l2p_.begin(), l2p_.end(), kInvalid64);
   std::fill(p2l_.begin(), p2l_.end(), kInvalid64);
   blocks_.assign(num_blocks_, BlockMeta{});

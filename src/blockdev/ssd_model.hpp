@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "blockdev/block_device.hpp"
+#include "common/zero_mapping.hpp"
 
 namespace kdd {
 
@@ -84,7 +85,8 @@ class SsdModel final : public BlockDevice {
   std::uint64_t num_pages() const override { return config_.logical_pages; }
   void trim(Lba page) override;
 
-  /// Swap in a fresh device: blank flash, zero wear, mappings cleared.
+  /// Swap in a fresh device: blank flash, zero wear, mappings cleared. The
+  /// old flash array's memory goes back to the kernel.
   /// (Whole-device failure injection itself lives on BlockDevice::fail(),
   /// as in Section III-E2.)
   void replace();
@@ -131,7 +133,7 @@ class SsdModel final : public BlockDevice {
 
   SsdConfig config_;
   std::uint64_t num_blocks_;
-  std::vector<std::uint8_t> flash_;          ///< physical page contents
+  ZeroFillMapping flash_;                    ///< physical page contents (lazily committed)
   std::vector<std::uint64_t> l2p_;           ///< logical -> physical (kInvalid64 = unmapped)
   std::vector<std::uint64_t> p2l_;           ///< physical -> logical
   std::vector<BlockMeta> blocks_;

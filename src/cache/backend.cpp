@@ -368,14 +368,14 @@ void CacheSsd::recover_staging() {
   // The open segment's header persisted, so some payload prefix may have.
   // Validate the whole-segment CRC to tell "fully persisted" from "torn".
   Page buf = make_page();
-  std::uint64_t crc = SegmentStager::kFnvSeed;
+  std::uint64_t crc = kern::kPageHashSeed;
   bool intact = true;
   for (const Lba p : lbas) {
     if (fault_dev_->read(p, buf) != IoStatus::kOk) {
       intact = false;
       break;
     }
-    crc = SegmentStager::fnv1a(crc, buf);
+    crc = kern::page_hash(crc, buf);
   }
   if (intact && crc == payload_crc) {
     // The cut landed after the last payload write: the segment is complete,

@@ -6,17 +6,22 @@
 // whole-segment CRC over the payload bytes — and flushed as ONE vectored
 // sequential SSD write (BlockDevice::write_multi), header first.
 //
-// Why this is crash-safe even though the segment lives in plain RAM: the KDD
-// write path keeps RAID data members current *before* any delta or page is
-// staged toward the SSD (acked durability never depends on cache contents),
-// and the NVRAM staging/metadata buffers survive independently. Losing an
-// unsealed segment therefore loses only cache state that recovery can
-// retire: the header-first write order plus the sector-prefix torn-write
-// model guarantee that whenever any payload page reached the media, the
-// header did too, so recovery can enumerate *exactly* the affected pages,
-// validate the whole-segment CRC, and either accept the segment (fully
+// Why this is meant to be crash-safe even though the segment lives in plain
+// RAM: the KDD write path keeps RAID data members current *before* any delta
+// or page is staged toward the SSD (acked durability never depends on cache
+// contents), and the NVRAM staging/metadata buffers survive independently.
+// Losing an unsealed segment should therefore lose only cache state that
+// recovery can retire: the header-first write order plus the sector-prefix
+// torn-write model guarantee that whenever any payload page reached the
+// media, the header did too, so recovery can enumerate *exactly* the affected
+// pages, validate the whole-segment CRC, and either accept the segment (fully
 // persisted) or discard precisely its page list — subsuming the metadata
 // log's per-entry CRC-8 torn-tail handling with a single coarser check.
+//
+// Known gap: a power cut before the seal can currently lose parity debt
+// too. The likely cause is that MetadataLog releases its NVRAM entries when
+// a page is *staged* rather than when its segment seals. That is why
+// segment_staging defaults off (docs/fault_model.md).
 //
 // The stager itself is a passive in-RAM structure (buffering, coalescing,
 // header serialisation, CRC); CacheSsd drives the device I/O and recovery
@@ -57,8 +62,9 @@ struct SegmentStats {
 
 class SegmentStager {
  public:
-  /// "KDDSEG01" — the header magic.
-  static constexpr std::uint64_t kMagic = 0x4b44445345473031ull;
+  /// "KDDSEG02" — the header magic. Bumped whenever the CRC function
+  /// changes, so a header sealed under another one is never accepted.
+  static constexpr std::uint64_t kMagic = 0x4b44445345473032ull;
   static constexpr std::size_t kHeaderFixedBytes = 40;
   static constexpr std::size_t kMaxEntries =
       (kPageSize - kHeaderFixedBytes) / sizeof(std::uint64_t);
@@ -111,13 +117,11 @@ class SegmentStager {
 
   // ---- Header format helpers (shared with CacheSsd recovery) --------------
 
-  /// FNV-1a 64 continuation over `bytes`.
-  static std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes);
-  static constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ull;
-
   /// Parses and validates a header page (magic + header CRC). On success
   /// fills the segment id, the payload LBA list and the whole-segment
-  /// payload CRC. Returns false for garbage, torn or foreign pages.
+  /// payload CRC: the kern::page_hash chain from kern::kPageHashSeed over
+  /// the payload pages in list order. Returns false for garbage, torn or
+  /// foreign pages.
   static bool parse_header(std::span<const std::uint8_t> page, std::uint64_t* id,
                            std::vector<Lba>* lbas, std::uint64_t* payload_crc);
 

@@ -1,5 +1,6 @@
 #include "common/kernels.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -432,6 +433,64 @@ void gf256_mul_acc(std::uint8_t* dst, std::uint8_t c, const std::uint8_t* src,
 #endif
     default: mul_acc_scalar(dst, c, src, n); return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Page hash
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint64_t kHashMulA = 0x9e3779b97f4a7c15ull;  // both odd, so
+constexpr std::uint64_t kHashMulB = 0xc2b2ae3d27d4eb4full;  // x -> x*k is 1:1
+
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// One lane step: a bijection of `word` for a fixed lane, and of the lane
+/// for a fixed word, so a changed word always yields a changed lane.
+std::uint64_t absorb(std::uint64_t lane, std::uint64_t word) {
+  return std::rotl(lane + word * kHashMulB, 31) * kHashMulA;
+}
+
+}  // namespace
+
+std::uint64_t page_hash(std::uint64_t seed, std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  const std::size_t n = bytes.size();
+  // Four independent lanes keep four multiply chains in flight.
+  std::uint64_t l0 = seed;
+  std::uint64_t l1 = seed + kHashMulA;
+  std::uint64_t l2 = seed + 2 * kHashMulA;
+  std::uint64_t l3 = seed + 3 * kHashMulA;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    l0 = absorb(l0, load64(p + i));
+    l1 = absorb(l1, load64(p + i + 8));
+    l2 = absorb(l2, load64(p + i + 16));
+    l3 = absorb(l3, load64(p + i + 24));
+  }
+  for (; i + 8 <= n; i += 8) l0 = absorb(l0, load64(p + i));
+  if (i < n) {
+    std::uint64_t tail = 0;  // zero-padded; the length below tells pads apart
+    std::memcpy(&tail, p + i, n - i);
+    l1 = absorb(l1, tail);
+  }
+  // Fold the lanes in a fixed order (each fold is 1:1 in its lane), then
+  // avalanche with the murmur3 finaliser, itself a bijection.
+  std::uint64_t h = absorb(static_cast<std::uint64_t>(n), l0);
+  h = absorb(h, l1);
+  h = absorb(h, l2);
+  h = absorb(h, l3);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Runtime-dispatched bulk kernels for the data-path primitives every figure
 // in the paper is bottlenecked on: page XOR (parity + delta generation),
 // GF(2^8) multiply-accumulate (RAID-6 Q parity) and the zero-page predicate
-// (parity-skip checks).
+// (parity-skip checks). One portable kernel, page_hash (the emulated media's
+// per-page checksum and the segment CRCs), is plain C++ with no dispatch.
 //
 // Each kernel has a portable scalar baseline plus SIMD tiers (SSE2/SSSE3 and
 // AVX2 on x86-64, NEON on aarch64) selected once at startup via CPU feature
@@ -22,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace kdd::kern {
 
@@ -62,6 +64,20 @@ bool all_zero(const std::uint8_t* p, std::size_t n);
 /// c == 0 is a no-op; c == 1 degrades to xor_into.
 void gf256_mul_acc(std::uint8_t* dst, std::uint8_t c, const std::uint8_t* src,
                    std::size_t n);
+
+// ---- Page hash (portable, one implementation, no tiers) -----------------------
+
+/// Start of a page_hash chain.
+inline constexpr std::uint64_t kPageHashSeed = 0x243f6a8885a308d3ull;
+
+/// 64-bit hash of `bytes`, continuing the chain `seed`: hash several buffers
+/// in order by passing each result as the next seed. Four word lanes each
+/// absorb one 8-byte word per step through a multiply-rotate-multiply that is
+/// a bijection of the word, so any change confined to one 8-byte word of the
+/// buffer (every single-bit flip in particular) always changes the result;
+/// wider changes such as torn sectors collide with probability about 2^-64.
+/// Not cryptographic. Words load in host byte order.
+std::uint64_t page_hash(std::uint64_t seed, std::span<const std::uint8_t> bytes);
 
 // ---- Scalar reference implementations ---------------------------------------
 //

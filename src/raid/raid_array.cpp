@@ -6,6 +6,7 @@
 #include "common/page_arena.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "raid/gf256.hpp"
 
 namespace kdd {
@@ -75,6 +76,7 @@ void RaidArray::attach_rail(const std::shared_ptr<PowerRail>& rail) {
 
 IoStatus RaidArray::dev_read(std::uint32_t disk, Lba page,
                              std::span<std::uint8_t> out, IoPlan* plan) {
+  const obs::SpanScope span(obs::Stage::kDevice);
   const RetryResult r = with_retry(
       [&] { return disks_[disk]->read(page, out); }, retry_policy_);
   if (plan && r.backoff_us != 0) plan->add_retry_delay(r.backoff_us);
@@ -83,6 +85,7 @@ IoStatus RaidArray::dev_read(std::uint32_t disk, Lba page,
 
 IoStatus RaidArray::dev_write(std::uint32_t disk, Lba page,
                               std::span<const std::uint8_t> data, IoPlan* plan) {
+  const obs::SpanScope span(obs::Stage::kDevice);
   const RetryResult r = with_retry(
       [&] { return disks_[disk]->write(page, data); }, retry_policy_);
   if (plan && r.backoff_us != 0) plan->add_retry_delay(r.backoff_us);

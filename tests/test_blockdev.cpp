@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -201,6 +206,67 @@ TEST(SsdModel, FailAndReplace) {
   EXPECT_EQ(ssd.wear().host_page_writes, 0u);
   ASSERT_EQ(ssd.read(0, buf), IoStatus::kOk);
   EXPECT_TRUE(all_zero(buf));
+}
+
+// ---- Emulated media commit memory on first write, not at construction ----
+
+/// Resident set size of this process, from /proc/self/statm.
+std::int64_t rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t total_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+constexpr std::int64_t kMiB = 1 << 20;
+constexpr std::uint64_t kBigDevicePages = 64 * 1024;  // a 256 MiB image
+
+void expect_every_page_zero(BlockDevice& dev) {
+  Page buf(kPageSize);
+  for (Lba p = 0; p < kBigDevicePages; ++p) {
+    std::fill(buf.begin(), buf.end(), std::uint8_t{0xff});
+    ASSERT_EQ(dev.read(p, buf), IoStatus::kOk);
+    ASSERT_TRUE(all_zero(buf)) << "page " << p;
+  }
+}
+
+/// Builds a 256 MiB device and checks that its memory follows the pages
+/// written, not its capacity, and that replace() gives the memory back.
+template <typename MakeDevice>
+void expect_commit_on_first_write(MakeDevice make) {
+  const std::int64_t start = rss_bytes();
+  const auto dev = make();
+  EXPECT_LT(rss_bytes() - start, 32 * kMiB) << "construction";
+
+  expect_every_page_zero(*dev);
+  const std::int64_t after_reads = rss_bytes();
+  EXPECT_LT(after_reads - start, 32 * kMiB) << "reading every unwritten page";
+
+  const Page data = test_page(7);
+  for (Lba p = 0; p < kBigDevicePages; p += kBigDevicePages / 1024) {
+    ASSERT_EQ(dev->write(p, data), IoStatus::kOk);
+  }
+  const std::int64_t written = rss_bytes() - after_reads;
+  EXPECT_GE(written, 4 * kMiB) << "writing 1,024 pages";
+  EXPECT_LE(written, 12 * kMiB) << "writing 1,024 pages";
+
+  dev->replace();
+  EXPECT_LT(rss_bytes() - start, 32 * kMiB) << "after replace()";
+  expect_every_page_zero(*dev);
+}
+
+TEST(MemBlockDevice, MemoryIsCommittedOnFirstWrite) {
+  expect_commit_on_first_write(
+      [] { return std::make_unique<MemBlockDevice>(kBigDevicePages); });
+}
+
+TEST(SsdModel, FlashIsCommittedOnFirstWrite) {
+  expect_commit_on_first_write([] {
+    SsdConfig cfg;
+    cfg.logical_pages = kBigDevicePages;
+    return std::make_unique<SsdModel>(cfg);
+  });
 }
 
 // ---- write_multi: vectored writes must be byte-equivalent to N single

@@ -3,7 +3,8 @@
 // Every supported dispatch tier must be bit-exact against the naive scalar
 // references across awkward sizes (sub-word, sub-vector, vector-multiple,
 // off-by-one) and unaligned base addresses — SIMD tails and head-alignment
-// handling are where bulk kernels classically go wrong.
+// handling are where bulk kernels classically go wrong. The undispatched
+// page hash is checked for what a media checksum must detect instead.
 #include "common/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -188,6 +189,69 @@ TEST(KernelDispatch, BytesWrappersRouteThroughKernels) {
   Page c(kPageSize);
   xor_pages3(c, a, b);
   EXPECT_TRUE(all_zero(c));  // a ^ a == 0
+}
+
+// ---- Page hash (one portable implementation, no tiers) ----------------------
+
+TEST(PageHash, EverySingleBitFlipChangesTheHash) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<std::uint8_t> page = random_bytes(kPageSize, 100 + seed);
+    const std::uint64_t clean = kern::page_hash(kern::kPageHashSeed, page);
+    for (std::size_t bit = 0; bit < kPageSize * 8; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      page[bit / 8] ^= mask;
+      ASSERT_NE(kern::page_hash(kern::kPageHashSeed, page), clean)
+          << "page seed " << seed << ", bit " << bit;
+      page[bit / 8] ^= mask;
+    }
+  }
+}
+
+TEST(PageHash, EverySectorTearChangesTheHash) {
+  // A torn write persists 1-7 leading 512 B sectors of the new version B
+  // over the old version A; the stored tag is B's, and A's must not match
+  // either.
+  constexpr std::size_t kSector = 512;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<std::uint8_t> a = random_bytes(kPageSize, 200 + seed);
+    const std::vector<std::uint8_t> b = random_bytes(kPageSize, 300 + seed);
+    const std::uint64_t ha = kern::page_hash(kern::kPageHashSeed, a);
+    const std::uint64_t hb = kern::page_hash(kern::kPageHashSeed, b);
+    for (std::size_t sectors = 1; sectors < kPageSize / kSector; ++sectors) {
+      std::vector<std::uint8_t> torn = a;
+      std::memcpy(torn.data(), b.data(), sectors * kSector);
+      const std::uint64_t ht = kern::page_hash(kern::kPageHashSeed, torn);
+      EXPECT_NE(ht, ha) << "seed " << seed << ", " << sectors << " sectors";
+      EXPECT_NE(ht, hb) << "seed " << seed << ", " << sectors << " sectors";
+    }
+  }
+}
+
+TEST(PageHash, ChainingIsOrderSensitive) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<std::uint8_t> a = random_bytes(kPageSize, 400 + seed);
+    const std::vector<std::uint8_t> b = random_bytes(kPageSize, 500 + seed);
+    const std::uint64_t s = kern::page_hash(kern::kPageHashSeed, random_bytes(8, seed));
+    EXPECT_NE(kern::page_hash(kern::page_hash(s, a), b),
+              kern::page_hash(kern::page_hash(s, b), a))
+        << "seed " << seed;
+  }
+}
+
+TEST(PageHash, SeedAndLengthBothCount) {
+  // Segment headers hash short spans of any length: the chain seed and the
+  // byte count must both matter. 41 and 42 bytes both end in a zero-padded
+  // partial word, which reads the same for a trailing zero byte and none.
+  const std::vector<std::uint8_t> bytes = random_bytes(41, 7);
+  std::vector<std::uint8_t> padded = bytes;
+  padded.push_back(0);
+  EXPECT_NE(kern::page_hash(1, bytes), kern::page_hash(2, bytes));
+  EXPECT_NE(kern::page_hash(1, bytes), kern::page_hash(1, padded));
+  EXPECT_NE(kern::page_hash(1, {}), kern::page_hash(2, {}));
+  for (const std::size_t n : kSizes) {
+    const std::vector<std::uint8_t> v = random_bytes(n, n);
+    EXPECT_EQ(kern::page_hash(3, v), kern::page_hash(3, v)) << "size " << n;
+  }
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
+#include "common/kernels.hpp"
 #include "compress/content.hpp"
 #include "kdd/kdd_cache.hpp"
 #include "test_util.hpp"
@@ -91,12 +93,12 @@ TEST(SegmentStager, SealBatchIsHeaderFirstAndHeaderRoundTrips) {
   EXPECT_EQ(lbas, stager.live_lbas());
   ASSERT_EQ(lbas.size(), 2u);
 
-  // The advertised payload CRC matches FNV-1a over the payload bytes in
-  // batch order — recovery recomputes exactly this.
-  std::uint64_t crc = SegmentStager::kFnvSeed;
+  // The advertised payload CRC matches the page_hash chain over the payload
+  // bytes in batch order — recovery recomputes exactly this.
+  std::uint64_t crc = kern::kPageHashSeed;
   for (std::size_t i = 1; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].page, lbas[i - 1]);
-    crc = SegmentStager::fnv1a(crc, batch[i].data);
+    crc = kern::page_hash(crc, batch[i].data);
   }
   EXPECT_EQ(crc, payload_crc);
 
@@ -135,6 +137,28 @@ TEST(SegmentStager, ParseHeaderRejectsTornForeignAndBlankPages) {
   Page foreign = header;
   foreign[0] ^= 0xff;
   EXPECT_FALSE(SegmentStager::parse_header(foreign, &id, &lbas, &crc));
+}
+
+TEST(SegmentStager, ParseHeaderRejectsTheOldFormatMagic) {
+  // A KDDSEG01 header (FNV-1a CRCs) must never be accepted as a current
+  // one: swap in the old magic and re-seal the header CRC so that the magic
+  // is the only thing wrong with it.
+  SegmentStager stager(small_segment(), /*counter_mode=*/false);
+  stager.stage(10, test_page(10));
+  Page header = make_page();
+  stager.build_seal(&header);
+  ASSERT_TRUE(SegmentStager::parse_header(header, nullptr, nullptr, nullptr));
+
+  constexpr std::uint64_t kOldMagic = 0x4b44445345473031ull;  // "KDDSEG01"
+  ASSERT_NE(kOldMagic, SegmentStager::kMagic);
+  std::memcpy(header.data(), &kOldMagic, sizeof kOldMagic);
+  std::uint32_t count = 0;
+  std::memcpy(&count, header.data() + 16, sizeof count);
+  std::uint64_t crc = kern::page_hash(kern::kPageHashSeed, {header.data(), 32});
+  crc = kern::page_hash(crc, {header.data() + SegmentStager::kHeaderFixedBytes,
+                              8ull * count});
+  std::memcpy(header.data() + 32, &crc, sizeof crc);
+  EXPECT_FALSE(SegmentStager::parse_header(header, nullptr, nullptr, nullptr));
 }
 
 TEST(SegmentStager, CounterModeStagesAddressesWithoutBytes) {
