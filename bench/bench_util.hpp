@@ -26,10 +26,8 @@ struct SweepPoint {
   CacheStats stats;
 };
 
-/// Runs one policy/locality configuration over a trace. With `elastic` the
-/// KDD delta zone runs the full elastic stack (variable-size extent
-/// placement + online GC + adaptive DAZ/DEZ boundary); other policies
-/// ignore the flag.
+/// Runs one policy/locality configuration over a trace. With `elastic` KDD
+/// runs the adaptive DAZ/DEZ boundary; other policies ignore the flag.
 inline CacheStats run_policy_on_trace(PolicyKind kind, double locality_mean,
                                       std::uint64_t ssd_pages, const Trace& trace,
                                       const RaidGeometry& geo,
@@ -37,14 +35,12 @@ inline CacheStats run_policy_on_trace(PolicyKind kind, double locality_mean,
   PolicyConfig cfg;
   cfg.ssd_pages = ssd_pages;
   cfg.delta_ratio_mean = locality_mean;
-  cfg.dez_elastic = elastic;
-  cfg.dez_gc = elastic;
   cfg.adaptive_boundary = elastic;
   auto policy = make_policy(kind, cfg, geo);
   return run_counter_trace(*policy, trace, geo.data_pages());
 }
 
-/// Compressibility-mix axis for the elastic-KDD columns of Figures 5/7:
+/// Compressibility-mix axis for the KDDe columns of Figures 5/7:
 /// delta_ratio_mean is the Gaussian mean of the delta-to-page size ratio, so
 /// 0.85 models near-incompressible content (deltas almost page-sized), 0.45
 /// a mixed blend, 0.10 highly-compressible hot updates.

@@ -105,10 +105,9 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
       configs.push_back({PolicyKind::kKdd, locality, false});
     }
     if (!fig.traffic_mode) {
-      // Compressibility-mix axis (hit-ratio figures only): elastic KDD at
-      // near-incompressible / mixed / highly-compressible content, so the
-      // capacity the variable-size allocator + GC reclaim shows up directly
-      // against the matching static-layout KDD columns.
+      // Compressibility-mix axis (hit-ratio figures only): KDD with the
+      // adaptive DAZ/DEZ boundary at near-incompressible / mixed /
+      // highly-compressible content, against the static-layout KDD columns.
       for (const double mean : kCompressMix) {
         configs.push_back({PolicyKind::kKdd, mean, true});
       }
@@ -175,9 +174,9 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
     maybe_write_csv(table, fig.figure, workload);
     std::printf("%s\n", fig.traffic_mode ? "(GiB written to SSD; lower is better)\n"
                                          : "(overall hit ratio; higher is better; "
-                                           "KDDe-N% = elastic delta zone at "
-                                           "incompressible/mixed/compressible "
-                                           "content mixes)\n");
+                                           "KDDe-N% = adaptive DAZ/DEZ boundary "
+                                           "at incompressible/mixed/"
+                                           "compressible content mixes)\n");
   }
 }
 

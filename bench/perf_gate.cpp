@@ -20,12 +20,6 @@
 //     >= 4x fewer SSD write commands per committed page, and the post-flush
 //     read-back digests must be byte-identical (deterministic counters, so
 //     this gates on every host),
-//   * elastic delta zone: the same seeded mixed replay with the static
-//     layout vs the elastic extent allocator + GC + adaptive boundary. On a
-//     compressible trace elastic packing must hold >= 15% more resident data
-//     pages; on an incompressible trace GC must cost <= 5% extra cache-SSD
-//     page writes; read-back digests must match byte-for-byte on both pairs
-//     (deterministic counters, so this gates on every host),
 //   * page hash: kern::page_hash over a 4 KiB page must be >= 8x faster
 //     than the byte-serial 64-bit FNV-1a loop it replaced as the media
 //     checksum and segment CRC. Both sides are measured in the same run, so
@@ -312,101 +306,6 @@ SegmentCommitRun run_segment_commit(bool staged) {
   r.write_ops = kdd.cache_ssd().write_ops();
   r.pages_committed = kdd.cache_ssd().pages_committed();
   r.seq_ops = ssd.wear().host_write_ops_seq;
-  return r;
-}
-
-/// Elastic-capacity gate: the same seeded mixed read/write replay, once with
-/// the static DAZ/DEZ layout and once with the elastic extent allocator +
-/// online GC + adaptive boundary. Two traces:
-///   * compressible (small mutations -> tiny packed deltas): elastic packing
-///     must keep >= 15% more resident data pages (kClean + kOld) in the
-///     cache mid-run, since each delta commit no longer burns a whole DEZ
-///     page,
-///   * incompressible (near-full-page mutations -> deltas that barely
-///     compress): GC relocation traffic must cost <= 5% extra cache-SSD page
-///     writes over the static layout.
-/// Both pairs must read back byte-identical images: placement policy and GC
-/// move bytes around, they must never change them.
-struct ElasticCapacityRun {
-  double resident_pages = 0.0;  ///< mean kClean+kOld data pages mid-run
-  double dez_pages = 0.0;       ///< mean DEZ footprint mid-run
-  std::uint64_t ssd_pages_written = 0;  ///< cache-SSD page writes (incl. GC)
-  std::uint64_t gc_passes = 0;
-  std::uint64_t digest = 0;  ///< page_hash over the full read-back image
-  double ms = 0.0;
-};
-ElasticCapacityRun run_elastic_capacity(bool elastic, double mutate_ratio,
-                                        std::uint64_t cache_pages, Lba span) {
-  RaidGeometry geo;
-  geo.level = RaidLevel::kRaid5;
-  geo.num_disks = 5;
-  geo.chunk_pages = 4;
-  geo.disk_pages = 1024;
-  RaidArray array(geo);
-  SsdConfig scfg;
-  scfg.logical_pages = cache_pages;
-  SsdModel ssd(scfg);
-  PolicyConfig cfg;
-  cfg.ssd_pages = scfg.logical_pages;
-  cfg.ways = 8;
-  // Delta-heavy regime: a cache well under the working set, with deltas
-  // allowed to accumulate instead of destaging at the default 30% watermark,
-  // so the DEZ footprint (the thing elastic packing shrinks) actually bears
-  // on how many data pages stay resident.
-  cfg.clean_high_watermark = 0.85;
-  cfg.clean_low_watermark = 0.60;
-  cfg.dez_elastic = elastic;
-  cfg.dez_gc = elastic;
-  // Reclaim eagerly: the capacity case trades relocation writes (cheap, the
-  // deltas are small) for resident data pages; the WA case is gated
-  // separately on the incompressible trace.
-  cfg.dez_gc_dead_ratio = 0.30;
-  cfg.adaptive_boundary = elastic;
-  KddCache kdd(cfg, &array, &ssd);
-  const ContentGenerator gen(87);
-  Rng rng(88);
-  std::unordered_map<Lba, Page> model;
-  Page buf(kPageSize);
-  double resident_sum = 0.0;
-  double dez_sum = 0.0;
-  std::uint64_t resident_samples = 0;
-  const double t0 = now_ns();
-  for (int i = 0; i < 12000; ++i) {
-    const Lba lba = rng.next_below(span);
-    if (rng.next_bool(0.7)) {
-      auto it = model.find(lba);
-      Page data = it == model.end() ? gen.base_page(lba)
-                                    : gen.mutate(it->second, mutate_ratio, rng);
-      if (kdd.write(lba, data, nullptr) != IoStatus::kOk) std::abort();
-      model[lba] = std::move(data);
-    } else {
-      if (kdd.read(lba, buf, nullptr) != IoStatus::kOk) std::abort();
-    }
-    if (i >= 4000 && i % 100 == 0) {
-      resident_sum += static_cast<double>(
-          kdd.sets().count_state(PageState::kClean) +
-          kdd.sets().count_state(PageState::kOld));
-      dez_sum += static_cast<double>(kdd.dez_pages());
-      ++resident_samples;
-    }
-  }
-  kdd.flush(nullptr);
-  ElasticCapacityRun r;
-  r.ms = (now_ns() - t0) / 1e6;
-  if (resident_samples > 0) {
-    r.resident_pages = resident_sum / static_cast<double>(resident_samples);
-    r.dez_pages = dez_sum / static_cast<double>(resident_samples);
-  }
-  // Capture write traffic before the digest read-back: those reads re-admit
-  // evicted pages and the admission writes would blur the GC-cost comparison.
-  r.ssd_pages_written = ssd.wear().host_pages_rand + ssd.wear().host_pages_seq;
-  r.gc_passes = kdd.gc_passes();
-  std::uint64_t h = kern::kPageHashSeed;
-  for (Lba lba = 0; lba < span; ++lba) {
-    if (kdd.read(lba, buf, nullptr) != IoStatus::kOk) std::abort();
-    h = kern::page_hash(h, buf);
-  }
-  r.digest = h;
   return r;
 }
 
@@ -788,45 +687,6 @@ int run(int argc, char** argv) {
               seg_reduction, seg_digests_match ? "match" : "DIFFER",
               seg_off.ms, seg_on.ms);
 
-  // Elastic delta zone: capacity on a compressible trace, GC write cost on
-  // an incompressible one, byte-identical read-back on both.
-  // Capacity claim under delta pressure: a hot 400-page span over a 256-page
-  // cache, so most writes are hits minting deltas and overwrites fragment
-  // the DEZ. GC-cost claim over a cold 1500-page span at 1024 cache pages,
-  // where relocation of barely-compressible deltas is the only extra
-  // traffic.
-  const ElasticCapacityRun ec_fixed_c =
-      run_elastic_capacity(false, 0.30, 256, 320);
-  const ElasticCapacityRun ec_elastic_c =
-      run_elastic_capacity(true, 0.30, 256, 320);
-  const ElasticCapacityRun ec_fixed_i =
-      run_elastic_capacity(false, 0.95, 1024, 1500);
-  const ElasticCapacityRun ec_elastic_i =
-      run_elastic_capacity(true, 0.95, 1024, 1500);
-  const double elastic_resident_gain =
-      ec_fixed_c.resident_pages > 0
-          ? ec_elastic_c.resident_pages / ec_fixed_c.resident_pages
-          : 0.0;
-  const double elastic_gc_wa =
-      ec_fixed_i.ssd_pages_written > 0
-          ? static_cast<double>(ec_elastic_i.ssd_pages_written) /
-                static_cast<double>(ec_fixed_i.ssd_pages_written)
-          : 0.0;
-  const bool elastic_digests_match = ec_fixed_c.digest == ec_elastic_c.digest &&
-                                     ec_fixed_i.digest == ec_elastic_i.digest;
-  std::printf("elastic dez (compressible): resident pages %.1f fixed vs %.1f "
-              "elastic (%.2fx, need >= 1.15x), mean dez footprint %.1f vs "
-              "%.1f pages, %llu gc passes\n",
-              ec_fixed_c.resident_pages, ec_elastic_c.resident_pages,
-              elastic_resident_gain, ec_fixed_c.dez_pages,
-              ec_elastic_c.dez_pages,
-              static_cast<unsigned long long>(ec_elastic_c.gc_passes));
-  std::printf("elastic dez (incompressible): ssd page writes %llu fixed vs "
-              "%llu elastic (%.3fx, need <= 1.05x), read-back digests %s\n",
-              static_cast<unsigned long long>(ec_fixed_i.ssd_pages_written),
-              static_cast<unsigned long long>(ec_elastic_i.ssd_pages_written),
-              elastic_gc_wa, elastic_digests_match ? "match" : "DIFFER");
-
   // Cleaner-pool end-to-end replay (4 submitters, pool 0 vs 4 workers).
   const PoolReplay pool = measure_pool_replay();
   std::printf("cleaner-pool replay (4 submitters): serial cleaner %.1f ms, "
@@ -866,8 +726,6 @@ int run(int argc, char** argv) {
                     (!telemetry_gates || obs_overhead <= 0.05) &&
                     destage_speedup >= 2.0 &&
                     seg_reduction >= 4.0 && seg_digests_match &&
-                    elastic_resident_gain >= 1.15 && elastic_gc_wa <= 1.05 &&
-                    elastic_digests_match &&
                     (!pool.gates || pool.speedup >= 1.5) &&
                     (!scaling_gates || scaling_speedup >= 3.0);
   std::printf("\ngate: gf256_mul_acc speedup %.2fx (need >= 3.00x), "
@@ -876,17 +734,13 @@ int run(int argc, char** argv) {
               "telemetry overhead %.1f%% (%s), "
               "destage batch speedup %.2fx (need >= 2.00x), "
               "segment commit %.2fx fewer cmds (need >= 4.00x, digests %s), "
-              "elastic resident %.2fx (need >= 1.15x), "
-              "elastic gc writes %.3fx (need <= 1.05x, digests %s), "
               "pool replay speedup %.2fx (%s), "
               "concurrent scaling %.2fx (%s) -> %s\n",
               mul_speedup, page_hash_speedup, roundtrip_improvement * 100.0,
               obs_overhead * 100.0,
               telemetry_gates ? "need <= 5.0%" : "recorded, not gated",
               destage_speedup, seg_reduction,
-              seg_digests_match ? "match" : "DIFFER",
-              elastic_resident_gain, elastic_gc_wa,
-              elastic_digests_match ? "match" : "DIFFER", pool.speedup,
+              seg_digests_match ? "match" : "DIFFER", pool.speedup,
               pool.gates ? "need >= 1.50x" : "recorded, not gated",
               scaling_speedup,
               scaling_gates ? "need >= 3.00x" : "recorded, not gated",
@@ -940,26 +794,6 @@ int run(int argc, char** argv) {
                  seg_reduction, seg_digests_match ? "true" : "false",
                  seg_off.ms, seg_on.ms);
     std::fprintf(f,
-                 "  \"elastic_capacity\": {"
-                 "\"compressible\": {\"fixed_resident_pages\": %.1f, "
-                 "\"elastic_resident_pages\": %.1f, \"resident_gain\": %.3f, "
-                 "\"fixed_mean_dez_pages\": %.1f, "
-                 "\"elastic_mean_dez_pages\": %.1f, "
-                 "\"gc_passes\": %llu}, "
-                 "\"incompressible\": {\"fixed_ssd_pages_written\": %llu, "
-                 "\"elastic_ssd_pages_written\": %llu, "
-                 "\"write_amplification\": %.4f, \"gc_passes\": %llu}, "
-                 "\"digests_match\": %s},\n",
-                 ec_fixed_c.resident_pages, ec_elastic_c.resident_pages,
-                 elastic_resident_gain, ec_fixed_c.dez_pages,
-                 ec_elastic_c.dez_pages,
-                 static_cast<unsigned long long>(ec_elastic_c.gc_passes),
-                 static_cast<unsigned long long>(ec_fixed_i.ssd_pages_written),
-                 static_cast<unsigned long long>(ec_elastic_i.ssd_pages_written),
-                 elastic_gc_wa,
-                 static_cast<unsigned long long>(ec_elastic_i.gc_passes),
-                 elastic_digests_match ? "true" : "false");
-    std::fprintf(f,
                  "  \"pool_replay\": {\"serial_cleaner_ms\": %.2f, "
                  "\"pool4_ms\": %.2f, \"speedup\": %.2f, "
                  "\"hardware_threads\": %u, \"gated\": %s},\n",
@@ -983,8 +817,6 @@ int run(int argc, char** argv) {
                  "\"telemetry_max_overhead\": 0.05, "
                  "\"destage_batch_min_speedup\": 2.0, "
                  "\"segment_commit_min_reduction\": 4.0, "
-                 "\"elastic_resident_min_gain\": 1.15, "
-                 "\"elastic_gc_max_write_amplification\": 1.05, "
                  "\"pool_replay_min_speedup\": 1.5, "
                  "\"concurrent_scaling_min_speedup\": 3.0, "
                  "\"gf256_mul_acc_speedup\": %.2f, "
@@ -995,9 +827,6 @@ int run(int argc, char** argv) {
                  "\"destage_batch_speedup\": %.2f, "
                  "\"segment_commit_reduction\": %.2f, "
                  "\"segment_digests_match\": %s, "
-                 "\"elastic_resident_gain\": %.3f, "
-                 "\"elastic_gc_write_amplification\": %.4f, "
-                 "\"elastic_digests_match\": %s, "
                  "\"pool_replay_speedup\": %.2f, "
                  "\"pool_replay_gated\": %s, "
                  "\"concurrent_scaling_speedup\": %.2f, "
@@ -1006,8 +835,6 @@ int run(int argc, char** argv) {
                  telemetry_gates ? "true" : "false",
                  destage_speedup, seg_reduction,
                  seg_digests_match ? "true" : "false",
-                 elastic_resident_gain, elastic_gc_wa,
-                 elastic_digests_match ? "true" : "false",
                  pool.speedup, pool.gates ? "true" : "false",
                  scaling_speedup, scaling_gates ? "true" : "false",
                  pass ? "true" : "false");

@@ -92,11 +92,8 @@ struct Controller {
     // SSD as sealed sequential batches, so 'stats' shows the fill/seal/WA
     // gauges moving as you type.
     cfg.segment_staging = true;
-    // Elastic delta zone on: commits append into open-extent slack, the GC
-    // compacts fragmented DEZ pages, and the DAZ/DEZ boundary adapts to the
-    // update compressibility — 'stats' shows the capacity line moving.
-    cfg.dez_elastic = true;
-    cfg.dez_gc = true;
+    // Adaptive DAZ/DEZ boundary on: the cap on DEZ pages follows the update
+    // compressibility — 'stats' shows the capacity line moving.
     cfg.adaptive_boundary = true;
     kdd = std::make_unique<KddCache>(cfg, &array, &ssd, &nvram, recover);
   }
@@ -217,21 +214,17 @@ int main() {
               ? 1000.0 * static_cast<double>(cache.write_ops()) /
                     static_cast<double>(cache.pages_committed())
               : 0.0);
-      // Elastic delta-zone capacity: occupancy vs the adaptive boundary,
-      // live/dead packed bytes (dead = reclaimable fragmentation), and the
-      // spare pages currently absorbing destage bursts.
+      // Delta-zone capacity: occupancy vs the adaptive boundary, live/dead
+      // packed bytes (dead = holes left by superseded deltas), and the spare
+      // pages currently absorbing destage bursts.
       std::printf(
           "# dez capacity: %llu/%llu pages (boundary), %llu live B, "
-          "%llu dead B, %llu spare pages, gc %llu passes / %llu pages / "
-          "%llu deltas, %llu boundary moves\n",
+          "%llu dead B, %llu spare pages, %llu boundary moves\n",
           static_cast<unsigned long long>(ctl.kdd->dez_pages()),
           static_cast<unsigned long long>(ctl.kdd->dez_boundary_pages()),
           static_cast<unsigned long long>(ctl.kdd->dez_live_bytes()),
           static_cast<unsigned long long>(ctl.kdd->dez_dead_bytes()),
           static_cast<unsigned long long>(ctl.kdd->elastic_spare_pages()),
-          static_cast<unsigned long long>(ctl.kdd->gc_passes()),
-          static_cast<unsigned long long>(ctl.kdd->gc_pages_reclaimed()),
-          static_cast<unsigned long long>(ctl.kdd->gc_deltas_relocated()),
           static_cast<unsigned long long>(ctl.kdd->boundary_moves()));
     } else if (cmd == "health") {
       std::fputs(ctl.health.health_json().c_str(), stdout);

@@ -194,15 +194,12 @@ void validate_prometheus_file(const std::string& dir, const std::string& file,
       check(type_families.count(family) > 0,
             file + ": missing family " + family);
     }
-    // Elastic delta zone: occupancy/fragmentation gauges plus the GC and
-    // boundary counters (the behaviours are flag-gated, but the series are
-    // always registered by KddCache).
+    // Delta zone: occupancy/fragmentation gauges plus the boundary counter
+    // (adaptive_boundary is flag-gated, but the series are always registered
+    // by KddCache).
     for (const char* family :
          {"kdd_dez_live_bytes", "kdd_dez_dead_bytes", "kdd_dez_boundary_pages",
-          "kdd_dez_elastic_spare_pages", "kdd_dez_gc_passes_total",
-          "kdd_dez_gc_pages_reclaimed_total",
-          "kdd_dez_gc_deltas_relocated_total",
-          "kdd_dez_boundary_moves_total"}) {
+          "kdd_dez_spare_pages", "kdd_dez_boundary_moves_total"}) {
       check(type_families.count(family) > 0,
             file + ": missing family " + family);
     }

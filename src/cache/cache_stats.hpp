@@ -17,7 +17,11 @@ enum class SsdWriteKind : std::uint8_t {
   kWriteUpdate,  ///< full-page update of an already-cached page (WT/LeavO)
   kDeltaCommit,  ///< packed delta page committed to the DEZ (KDD)
   kMetadata,     ///< persistent cache metadata
-  kGcRelocate,   ///< live deltas rewritten by the delta-zone GC/defrag (KDD)
+  /// Live deltas moved between DEZ pages. No code path writes it since the
+  /// delta-zone GC was removed; the kind stays because its name is a
+  /// published schema field (benchmark/kdd_bench.cpp reports
+  /// cache.ssd_writes.gc_relocate_per_write, now always 0).
+  kGcRelocate,
 };
 inline constexpr int kNumSsdWriteKinds = 6;
 

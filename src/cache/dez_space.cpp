@@ -1,60 +1,16 @@
 #include "cache/dez_space.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace kdd {
 
 void DezSpace::reset(std::uint64_t pages) {
   extents_.assign(pages, Extent{});
-  for (auto& bin : bins_) bin.clear();
-  active_pages_ = open_pages_ = 0;
+  active_pages_ = 0;
   total_live_ = total_dead_ = 0;
 }
 
-void DezSpace::clear() {
-  const std::size_t n = extents_.size();
-  extents_.assign(n, Extent{});
-  for (auto& bin : bins_) bin.clear();
-  active_pages_ = open_pages_ = 0;
-  total_live_ = total_dead_ = 0;
-}
-
-int DezSpace::class_of(std::uint32_t bytes) {
-  if (bytes < kGrain) return -1;
-  int c = 0;
-  while (c + 1 < kNumClasses && bytes >= (kGrain << (c + 1))) ++c;
-  return c;
-}
-
-void DezSpace::bin_insert(std::uint32_t idx) {
-  Extent& e = extents_[idx];
-  const int c = class_of(e.remaining());
-  if (c < 0) {
-    e.bin = -1;
-    return;
-  }
-  e.bin = static_cast<std::int8_t>(c);
-  e.bin_pos = static_cast<std::uint32_t>(bins_[static_cast<std::size_t>(c)].size());
-  bins_[static_cast<std::size_t>(c)].push_back(idx);
-}
-
-void DezSpace::bin_remove(std::uint32_t idx) {
-  Extent& e = extents_[idx];
-  if (e.bin < 0) return;
-  auto& bin = bins_[static_cast<std::size_t>(e.bin)];
-  const std::uint32_t last = bin.back();
-  bin[e.bin_pos] = last;
-  extents_[last].bin_pos = e.bin_pos;
-  bin.pop_back();
-  e.bin = -1;
-}
-
-void DezSpace::rebin(std::uint32_t idx) {
-  bin_remove(idx);
-  if (extents_[idx].open) bin_insert(idx);
-}
+void DezSpace::clear() { reset(extents_.size()); }
 
 void DezSpace::open_page(std::uint32_t idx) {
   KDD_CHECK(idx < extents_.size());
@@ -62,31 +18,19 @@ void DezSpace::open_page(std::uint32_t idx) {
   KDD_CHECK(!e.active);
   e = Extent{};
   e.active = true;
-  e.open = true;
   ++active_pages_;
-  ++open_pages_;
-  bin_insert(idx);
 }
 
 std::uint32_t DezSpace::append(std::uint32_t idx, std::uint32_t len) {
   Extent& e = extents_[idx];
-  KDD_CHECK(e.active && e.open);
+  KDD_CHECK(e.active);
   KDD_CHECK(e.tail + len <= kPageSize);
   const std::uint32_t off = e.tail;
   e.tail += len;
   e.live_bytes += len;
   ++e.live_count;
   total_live_ += len;
-  rebin(idx);
   return off;
-}
-
-void DezSpace::close_page(std::uint32_t idx) {
-  Extent& e = extents_[idx];
-  if (!e.active || !e.open) return;
-  e.open = false;
-  --open_pages_;
-  bin_remove(idx);
 }
 
 void DezSpace::on_dead(std::uint32_t idx, std::uint32_t len) {
@@ -102,11 +46,6 @@ void DezSpace::on_dead(std::uint32_t idx, std::uint32_t len) {
 void DezSpace::on_free(std::uint32_t idx) {
   Extent& e = extents_[idx];
   KDD_CHECK(e.active);
-  if (e.open) {
-    e.open = false;
-    --open_pages_;
-  }
-  bin_remove(idx);
   total_live_ -= e.live_bytes;
   total_dead_ -= e.dead_bytes();
   --active_pages_;
@@ -121,59 +60,12 @@ void DezSpace::restore_page(std::uint32_t idx, std::uint32_t tail,
   KDD_CHECK(live_bytes <= tail && tail <= kPageSize);
   e = Extent{};
   e.active = true;
-  e.open = false;
   e.tail = tail;
   e.live_bytes = live_bytes;
   e.live_count = live_count;
   ++active_pages_;
   total_live_ += live_bytes;
   total_dead_ += tail - live_bytes;
-}
-
-std::uint32_t DezSpace::find_open(std::uint32_t len) const {
-  if (len == 0 || len > kPageSize) return kNone;
-  // Classes below first_sure may contain members that fit (remaining is only
-  // bounded below by the class base); scan those members, smallest class
-  // first, before falling back to any member of a guaranteed class.
-  int first_sure = 0;
-  while (first_sure < kNumClasses &&
-         (kGrain << first_sure) < len) {
-    ++first_sure;
-  }
-  const int probe = class_of(len);
-  if (probe >= 0 && probe < first_sure) {
-    for (const std::uint32_t idx : bins_[static_cast<std::size_t>(probe)]) {
-      if (extents_[idx].remaining() >= len) return idx;
-    }
-  }
-  for (int c = first_sure; c < kNumClasses; ++c) {
-    if (!bins_[static_cast<std::size_t>(c)].empty()) {
-      return bins_[static_cast<std::size_t>(c)].front();
-    }
-  }
-  return kNone;
-}
-
-std::vector<std::uint32_t> DezSpace::pick_victims(double min_dead_ratio,
-                                                  std::size_t max_victims) const {
-  std::vector<std::uint32_t> victims;
-  if (max_victims == 0) return victims;
-  const auto threshold = static_cast<std::uint32_t>(
-      min_dead_ratio * static_cast<double>(kPageSize));
-  for (std::uint32_t idx = 0; idx < extents_.size(); ++idx) {
-    const Extent& e = extents_[idx];
-    if (e.active && e.live_count > 0 && e.dead_bytes() >= threshold) {
-      victims.push_back(idx);
-    }
-  }
-  std::sort(victims.begin(), victims.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              const std::uint32_t da = extents_[a].dead_bytes();
-              const std::uint32_t db = extents_[b].dead_bytes();
-              return da != db ? da > db : a < b;
-            });
-  if (victims.size() > max_victims) victims.resize(max_victims);
-  return victims;
 }
 
 }  // namespace kdd

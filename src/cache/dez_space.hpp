@@ -1,31 +1,20 @@
-// DezSpace: variable-size extent accounting and placement for the delta
-// zone (ROADMAP Open item 3, after Elastic RAID / arXiv 2209.04432).
+// DezSpace: per-page extent accounting for the delta zone.
 //
-// The DEZ packs LZ-compressed deltas many-per-page, but the original space
-// management was page-granular and write-once: a DEZ page was filled
-// first-fit at commit time, then only ever *lost* bytes (invalidated deltas
-// leave dead holes) until its valid count hit zero. DezSpace upgrades that
-// to an elastic byte-space manager:
-//
-//   * every DEZ page is an *extent* with a tail (append offset), live bytes
-//     and dead bytes — fragmentation is first-class state, not something a
-//     scan has to reconstruct;
-//   * partially-filled extents are kept *open* in size-class bins keyed by
-//     remaining tail room, so later commits can append into the slack
-//     instead of burning a fresh cache page (the variable-size allocator);
-//   * extents whose dead-byte ratio crosses a threshold are offered as GC
-//     victims so the delta-zone defragmenter can relocate the few live
-//     deltas and return whole pages to the DAZ.
+// The DEZ packs LZ-compressed deltas many-per-page. A DEZ page is filled
+// first-fit at commit time and is write-once: afterwards it only ever
+// *loses* bytes (invalidated deltas leave dead holes) until its valid count
+// hits zero and the page returns to the DAZ. DezSpace keeps that state
+// first-class instead of something a scan has to reconstruct: every DEZ page
+// is an *extent* with a tail (bytes packed at commit), live bytes and dead
+// bytes. KddCache::check_invariants cross-checks it against the slot
+// mappings, recovery rebuilds it from the persistent mappings, and the
+// live/dead totals feed the kdd_dez_* gauges and kdd_bench's dead share.
 //
 // DezSpace is pure bookkeeping over packed sizes: it never touches data and
 // never draws randomness, so it behaves identically in counter mode and in
-// the byte-accurate prototype, and keeping the *accounting* always-on does
-// not perturb any existing deterministic replay. Placement, GC and the
-// adaptive DAZ/DEZ boundary that consume this state are opt-in PolicyConfig
-// knobs (see policy.hpp).
+// the byte-accurate prototype.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -35,19 +24,11 @@ namespace kdd {
 
 class DezSpace {
  public:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-  /// Size-class grain: open extents are binned by floor(log2(remaining/64)).
-  static constexpr std::uint32_t kGrain = 64;
-  static constexpr int kNumClasses = 7;  ///< 64,128,...,4096 bytes remaining
-
   struct Extent {
     bool active = false;  ///< idx currently is a DEZ page
-    bool open = false;    ///< eligible for tail appends (member of a bin)
-    std::uint32_t tail = 0;        ///< append offset = bytes ever packed here
+    std::uint32_t tail = 0;        ///< bytes packed into the page at commit
     std::uint32_t live_bytes = 0;  ///< packed bytes still referenced
     std::uint32_t live_count = 0;  ///< live deltas (mirrors slot valid_count)
-    std::int8_t bin = -1;          ///< size-class bin, -1 when not open
-    std::uint32_t bin_pos = 0;     ///< index within bins_[bin] for O(1) removal
 
     std::uint32_t dead_bytes() const { return tail - live_bytes; }
     std::uint32_t remaining() const {
@@ -63,35 +44,19 @@ class DezSpace {
   void clear();
 
   // -- Extent lifecycle -------------------------------------------------------
-  /// A fresh DEZ page: tail 0, no live bytes, open for appends.
+  /// A fresh DEZ page: tail 0, no live bytes.
   void open_page(std::uint32_t idx);
   /// A packed delta of `len` bytes landed at the tail; returns its offset.
   std::uint32_t append(std::uint32_t idx, std::uint32_t len);
-  /// No further appends (fixed layout, or recovery-restored extents).
-  void close_page(std::uint32_t idx);
   /// A delta of `len` bytes was invalidated: live -> dead.
   void on_dead(std::uint32_t idx, std::uint32_t len);
-  /// The page was reclaimed (valid count hit zero, GC, or eviction).
+  /// The page was reclaimed (valid count hit zero, or eviction).
   void on_free(std::uint32_t idx);
   /// Recovery: adopt an extent whose tail/live census was rebuilt from the
-  /// persistent old-page mappings. Restored extents stay closed — their true
-  /// tail is a lower bound, so appends would risk overwriting a delta whose
-  /// owner died with the crash; GC compacts them instead.
+  /// persistent old-page mappings. The tail is the max mapped end offset, a
+  /// lower bound on the bytes packed at commit.
   void restore_page(std::uint32_t idx, std::uint32_t tail,
                     std::uint32_t live_bytes, std::uint32_t live_count);
-
-  // -- Placement (the variable-size allocator) --------------------------------
-  /// Best-fit-by-class: an open extent with at least `len` bytes of tail room,
-  /// preferring the smallest size class that fits (leaves big slack intact for
-  /// big deltas). Returns kNone if nothing fits.
-  std::uint32_t find_open(std::uint32_t len) const;
-
-  // -- GC victim selection ----------------------------------------------------
-  /// Extents whose dead bytes are >= min_dead_ratio * kPageSize and that still
-  /// hold at least one live delta (fully dead pages free themselves on the
-  /// spot), ordered most-dead-first (ties by index for determinism).
-  std::vector<std::uint32_t> pick_victims(double min_dead_ratio,
-                                          std::size_t max_victims) const;
 
   // -- Introspection ----------------------------------------------------------
   bool tracked(std::uint32_t idx) const {
@@ -101,18 +66,10 @@ class DezSpace {
   std::uint64_t pages() const { return active_pages_; }
   std::uint64_t live_bytes() const { return total_live_; }
   std::uint64_t dead_bytes() const { return total_dead_; }
-  std::uint64_t open_pages() const { return open_pages_; }
 
  private:
-  static int class_of(std::uint32_t bytes);
-  void bin_insert(std::uint32_t idx);
-  void bin_remove(std::uint32_t idx);
-  void rebin(std::uint32_t idx);
-
   std::vector<Extent> extents_;
-  std::array<std::vector<std::uint32_t>, kNumClasses> bins_;
   std::uint64_t active_pages_ = 0;
-  std::uint64_t open_pages_ = 0;
   std::uint64_t total_live_ = 0;
   std::uint64_t total_dead_ = 0;
 };

@@ -26,13 +26,12 @@ struct PolicyConfig {
   double clean_low_watermark = 0.15;   ///< cleaning stops below this
   double log_gc_threshold = 0.90;
   bool reclaim_as_clean = false;  ///< Section III-D scheme 1 (true) vs 2 (false)
-  /// Batched destage: the cleaner drains dirty groups through the
+  /// Groups per destage batch. The cleaner drains dirty groups through the
   /// prepare/fold/commit pipeline (src/kdd/destage.hpp), coalescing each
   /// group's deltas into one stale-parity RMW and committing whole batches
-  /// with one update_parity_rmw_batch call. Off = legacy per-group cleaning.
-  bool destage_batching = true;
-  /// Groups per destage batch. 0 = auto: sized from the high/low watermark
-  /// gap (enough groups to get from high back under low in ~4 batches).
+  /// with one update_parity_rmw_batch call. 0 = auto: sized from the
+  /// high/low watermark gap (enough groups to get from high back under low
+  /// in ~4 batches).
   std::uint32_t destage_batch_groups = 0;
   /// Worker threads in the ConcurrentCache cleaner pool. 0 = no pool (the
   /// single idle-cleaner thread drives destage inline, as before).
@@ -46,25 +45,12 @@ struct PolicyConfig {
   /// legacy per-page write accounting are unchanged.
   bool segment_staging = false;
   std::uint32_t segment_pages = 64;  ///< payload pages per sealed segment
-  // -- Elastic compression-aware delta zone (KDD only; ROADMAP item 3) -------
-  // Extent *accounting* (live/dead bytes per DEZ page, src/cache/dez_space)
-  // is always on — it is pure bookkeeping. These knobs enable the behaviours
-  // built on it; all default off so existing deterministic replays and the
-  // counter-mode rng draw order are unchanged.
-  /// Variable-size placement: commits append packed deltas into the tail
-  /// slack of partially-filled DEZ pages before burning fresh cache pages.
-  bool dez_elastic = false;
-  /// Online delta-zone GC/defrag: relocate live deltas out of fragmented
-  /// DEZ pages (dead-byte ratio >= dez_gc_dead_ratio) and free the page.
-  bool dez_gc = false;
-  double dez_gc_dead_ratio = 0.5;      ///< victim threshold (dead/page bytes)
-  std::uint32_t dez_gc_max_victims = 4;  ///< pages compacted per GC pass
-  /// Adaptive DAZ/DEZ boundary: a rolling compressibility estimate plus the
-  /// ghost-LRU hit-ratio signal steer a cap on DEZ pages; slack under the
-  /// static layout is exposed as elastic spare absorbing destage bursts and
-  /// degraded/rebuild traffic.
+  /// Adaptive DAZ/DEZ boundary (KDD only): a rolling compressibility
+  /// estimate plus the ghost-LRU hit-ratio signal steer a cap on DEZ pages;
+  /// slack under the static layout is exposed as elastic spare absorbing
+  /// destage bursts and degraded/rebuild traffic. Off by default so
+  /// existing deterministic replays are unchanged.
   bool adaptive_boundary = false;
-  double boundary_ewma = 0.05;          ///< weight of each new compressibility sample
   std::uint64_t boundary_epoch_ops = 512;  ///< requests between boundary decisions
   double delta_ratio_mean = 0.25; ///< counter-mode content locality (Gaussian mean)
   std::uint64_t seed = 1;

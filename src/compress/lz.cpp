@@ -235,7 +235,9 @@ bool lz_decompress_into(std::span<const std::uint8_t> src,
       if (lit == SIZE_MAX) return false;
     }
     if (ip + lit > in_n || op + lit > expected_size) return false;
-    std::memcpy(ob + op, src.data() + ip, lit);
+    // An empty output span has a null data(): memcpy's pointers must be
+    // valid even for a zero-length copy.
+    if (lit > 0) std::memcpy(ob + op, src.data() + ip, lit);
     op += lit;
     ip += lit;
     if (op == expected_size) {

@@ -27,13 +27,10 @@ TortureConfig::TortureConfig() {
   // segment keeps seals frequent at this scale.
   policy.segment_staging = true;
   policy.segment_pages = 16;
-  // The elastic delta zone is ON in torture: commits append into open
-  // extents, the GC relocates live deltas mid-run, and the DAZ/DEZ boundary
-  // moves — so the uniform crash point also lands inside extent appends and
-  // GC relocation writes. A short epoch keeps the boundary active at this
-  // tiny scale (256 cache pages, ~700 requests per seed).
-  policy.dez_elastic = true;
-  policy.dez_gc = true;
+  // The adaptive DAZ/DEZ boundary is ON in torture, so the uniform crash
+  // point also lands while the boundary moves and marginal deltas are turned
+  // away. A short epoch keeps the boundary active at this tiny scale (256
+  // cache pages, ~700 requests per seed).
   policy.adaptive_boundary = true;
   policy.boundary_epoch_ops = 64;
 }
@@ -325,48 +322,6 @@ TortureReport TortureRunner::run_rebuild_case(std::uint64_t seed) {
   return rep;
 }
 
-TortureReport TortureRunner::run_gc_crash_case(std::uint64_t seed) {
-  // Dry run with the GC write hook armed: every time the delta-zone GC is
-  // about to issue a relocation write, record the cache device's media-write
-  // index. Those marks are exactly the crash points where a mapping update
-  // races a live-delta move.
-  std::vector<std::uint64_t> marks;
-  std::uint64_t total_writes = 0;
-  {
-    Rig dry(config_);
-    dry.kdd->set_gc_write_hook(
-        [&marks, &dry] { marks.push_back(dry.cache_faults()->media_writes()); });
-    TortureReport baseline;
-    baseline.seed = seed;
-    run_workload(dry, seed, config_.requests, &baseline);
-    total_writes = dry.cache_faults()->media_writes();
-    if (!baseline.ok()) return baseline;
-  }
-  // With segment staging the relocation write itself is buffered in the open
-  // segment, so the tear actually lands on the NEXT media write (typically
-  // the metadata append or the seal carrying the relocated deltas). A mark
-  // recorded at the tail of the workload may have no media write after it at
-  // all — the armed cut would never fire — so only keep tearable marks.
-  std::erase_if(marks, [total_writes](std::uint64_t m) { return m >= total_writes; });
-  TortureReport rep;
-  if (marks.empty()) {
-    // The workload never fragmented a DEZ page past the GC threshold: report
-    // it as a (clean) no-op so sweeps can count coverage.
-    rep.seed = seed;
-    rep.total_media_writes = total_writes;
-    return rep;
-  }
-  // Tear power at one of the relocation writes: cut_after = mark lets exactly
-  // `mark` media writes through, so the destination write of the relocation
-  // run is the first operation the dead rail rejects.
-  Rng pick(seed ^ 0x94d049bb133111ebull);
-  const std::uint64_t cut = marks[pick.next_below(marks.size())];
-  rep = run_case(seed, cut);
-  rep.total_media_writes = total_writes;
-  rep.gc_relocation_writes = marks.size();
-  return rep;
-}
-
 TortureReport TortureRunner::run_seed(std::uint64_t seed) {
   // Dry run: same seeded workload, no faults, to learn the media-write count
   // W of the cache device. It doubles as a sanity baseline — a violation here
@@ -387,8 +342,8 @@ TortureReport TortureRunner::run_seed(std::uint64_t seed) {
     }
   }
   // Uniform crash point over every media write of the run: DAZ admissions,
-  // delta commits, metadata appends and GC rewrites are all hit in proportion
-  // to their frequency.
+  // delta commits, metadata appends and segment seals are all hit in
+  // proportion to their frequency.
   Rng cut_rng(seed ^ 0xc3a5c85c97cb3127ull);
   TortureReport rep = run_case(seed, cut_rng.next_below(total_writes));
   rep.total_media_writes = total_writes;

@@ -9,7 +9,7 @@
 // executed without faults to count the cache device's media writes W, then
 // the real run arms the power-cut trigger at cut ~ U[0, W). This guarantees
 // coverage of every write class — DAZ admissions, DEZ delta commits, metadata
-// log appends, GC rewrites — in proportion to how often they occur, with no
+// log appends, segment seals — in proportion to how often they occur, with no
 // hand-picked crash points.
 //
 // Integrity contract checked per seed (violations are collected, not
@@ -80,11 +80,6 @@ struct TortureReport {
   std::uint64_t segments_discarded = 0;  ///< unsealed segment invalidated
   std::uint64_t segment_pages_discarded = 0;  ///< exactly its header's page list
 
-  // ---- run_gc_crash_case only (power cut pinned mid-GC-relocation) --------
-  /// Delta-zone GC relocation writes observed in the dry run (0 = the
-  /// workload never produced a GC victim; the case degenerates to a no-op).
-  std::uint64_t gc_relocation_writes = 0;
-
   // ---- run_rebuild_case only (power cut during an online rebuild) ---------
   std::uint64_t rebuild_cursor_at_cut = 0;     ///< NVRAM checkpoint at the tear
   std::uint64_t rebuild_cursor_at_resume = 0;  ///< cursor the engine resumed at
@@ -117,15 +112,6 @@ class TortureRunner {
   /// first cache write; a huge value never fires and degenerates to a clean
   /// power-down-after-idle cycle.
   TortureReport run_case(std::uint64_t seed, std::uint64_t cut_after);
-
-  /// Crash pinned mid-GC-relocation: a dry run records the cache media-write
-  /// index of every delta-zone GC relocation write (via
-  /// KddCache::set_gc_write_hook), then the real run tears power at one of
-  /// those marks — the destination write of a live-delta move is the first
-  /// operation the dead rail rejects. Proves the GC's write-before-map
-  /// discipline: a live delta is never lost and a reclaimed extent is never
-  /// resurrected, whichever side of the torn write the mappings landed on.
-  TortureReport run_gc_crash_case(std::uint64_t seed);
 
   /// Power-cut-during-rebuild cycle: seeded workload -> online disk failure
   /// (degraded mode, incremental rebuild interleaved with foreground I/O) ->

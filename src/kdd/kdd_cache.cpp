@@ -30,11 +30,8 @@ struct KddMetrics {
   obs::Counter degraded_cache_hits;   ///< lost pages served from cache
   obs::Counter degraded_delta_folds;  ///< fold-then-retry degraded recoveries
   obs::Histogram destage_batch_groups;  ///< groups per committed destage batch
-  // Elastic delta zone (kdd_dez_*): occupancy/fragmentation gauges plus the
-  // GC and boundary-adaptation activity counters.
-  obs::Counter gc_passes;
-  obs::Counter gc_pages_reclaimed;
-  obs::Counter gc_deltas_relocated;
+  // Delta zone (kdd_dez_*): occupancy/fragmentation gauges plus the
+  // boundary-adaptation activity counter.
   obs::Counter boundary_moves;
   obs::Gauge dez_live_bytes;
   obs::Gauge dez_dead_bytes;
@@ -56,16 +53,11 @@ KddMetrics& kdd_metrics() {
         obs::Counter(&reg, "kdd_degraded_delta_folds_total");
     km->destage_batch_groups =
         obs::Histogram(&reg, "kdd_destage_batch_groups");
-    km->gc_passes = obs::Counter(&reg, "kdd_dez_gc_passes_total");
-    km->gc_pages_reclaimed =
-        obs::Counter(&reg, "kdd_dez_gc_pages_reclaimed_total");
-    km->gc_deltas_relocated =
-        obs::Counter(&reg, "kdd_dez_gc_deltas_relocated_total");
     km->boundary_moves = obs::Counter(&reg, "kdd_dez_boundary_moves_total");
     km->dez_live_bytes = obs::Gauge(&reg, "kdd_dez_live_bytes");
     km->dez_dead_bytes = obs::Gauge(&reg, "kdd_dez_dead_bytes");
     km->dez_boundary_pages = obs::Gauge(&reg, "kdd_dez_boundary_pages");
-    km->dez_spare_pages = obs::Gauge(&reg, "kdd_dez_elastic_spare_pages");
+    km->dez_spare_pages = obs::Gauge(&reg, "kdd_dez_spare_pages");
     return km;
   }();
   return *m;
@@ -293,78 +285,45 @@ void KddCache::stage_delta(Lba lba, std::uint32_t daz_idx, DeltaInfo info,
   sets_.slot(daz_idx).dez_len = static_cast<std::uint16_t>(info.packed);
 }
 
-KddCache::DezWriteResult KddCache::write_dez_run(std::uint32_t dest, bool append,
-                                                 std::span<DezItem> run,
-                                                 SsdWriteKind kind, IoPlan* plan) {
+IoStatus KddCache::write_dez_run(std::uint32_t dest,
+                                 std::span<const StagedDelta> run, IoPlan* plan) {
   KDD_CHECK(!run.empty());
   // Page image. Zeroed so the gaps between packed deltas never leak stale
   // scratch bytes to media; arena-backed so committing is allocation-free
-  // once warm. Appends read-modify-write the extent so the deltas already
-  // packed before the tail are preserved.
+  // once warm.
   ScratchPage content_sp(ScratchPage::kZeroed);
   Page& content = *content_sp;
   std::size_t off = 0;
-  if (append) {
-    KDD_CHECK(sets_.slot(dest).state == PageState::kDelta);
-    KDD_CHECK(dez_space_.tracked(dest) && dez_space_.extent(dest).open);
-    off = dez_space_.extent(dest).tail;
+  for (const StagedDelta& item : run) {
     if (ssd_.real()) {
-      if (ssd_.read_data(dest, content, plan) != IoStatus::kOk) {
-        return DezWriteResult::kDestUnreadable;
-      }
-    } else {
-      ssd_.read_data(dest, {}, plan);
+      const std::size_t written = pack_delta(item.blob, content, off);
+      KDD_CHECK(written == item.packed_size);
     }
-  }
-  for (const DezItem& item : run) {
-    if (ssd_.real()) {
-      const std::size_t written = pack_delta(*item.blob, content, off);
-      KDD_CHECK(written == item.packed);
-    }
-    off += item.packed;
+    off += item.packed_size;
   }
   KDD_CHECK(off <= kPageSize);
   // Write the DEZ page *before* persisting any mapping to it: a torn or
   // failed commit must never leave metadata pointing at garbage deltas.
   const IoStatus wst =
-      ssd_.write_data(dest, kind,
+      ssd_.write_data(dest, SsdWriteKind::kDeltaCommit,
                       ssd_.real() ? std::span<const std::uint8_t>(content)
                                   : std::span<const std::uint8_t>{},
                       plan);
-  if (wst != IoStatus::kOk) return DezWriteResult::kUnwritable;
-  if (!append) dez_space_.open_page(dest);
-  for (const DezItem& item : run) {
-    const std::uint32_t at = dez_space_.append(dest, item.packed);
+  if (wst != IoStatus::kOk) return wst;
+  dez_space_.open_page(dest);
+  for (const StagedDelta& item : run) {
+    const std::uint32_t at = dez_space_.append(dest, item.packed_size);
     CacheSets::CacheSlot& daz = sets_.slot(item.daz_idx);
     KDD_CHECK(daz.state == PageState::kOld && daz.lba == item.lba);
     daz.dez_idx = dest;
     daz.dez_off = static_cast<std::uint16_t>(at);
-    daz.dez_len = static_cast<std::uint16_t>(item.packed);
+    daz.dez_len = static_cast<std::uint16_t>(item.packed_size);
     add_map_entry(item.daz_idx, plan);
   }
-  if (append) {
-    sets_.slot(dest).valid_count =
-        static_cast<std::uint16_t>(sets_.slot(dest).valid_count + run.size());
-  } else {
-    sets_.set_state(dest, PageState::kDelta);
-    sets_.slot(dest).valid_count = static_cast<std::uint16_t>(run.size());
-    ++dez_pages_;
-    // Fixed layout: DEZ pages are write-once, so the leftover tail room is
-    // never offered again. Elastic keeps the extent open for later commits.
-    if (!config_.dez_elastic) dez_space_.close_page(dest);
-  }
-  return DezWriteResult::kOk;
-}
-
-void KddCache::heal_dez_page(std::uint32_t dez_idx, IoPlan* plan) {
-  std::unordered_set<GroupId> groups;
-  for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
-    const CacheSets::CacheSlot& s = sets_.slot(i);
-    if (s.state == PageState::kOld && s.dez_idx == dez_idx) {
-      groups.insert(raid_.layout().group_of(s.lba));
-    }
-  }
-  for (const GroupId g : groups) heal_group(g, plan);
+  sets_.set_state(dest, PageState::kDelta);
+  sets_.slot(dest).valid_count = static_cast<std::uint16_t>(run.size());
+  ++dez_pages_;
+  return IoStatus::kOk;
 }
 
 void KddCache::commit_staging(IoPlan* plan) {
@@ -372,13 +331,6 @@ void KddCache::commit_staging(IoPlan* plan) {
   if (all.empty()) return;
   const obs::SpanScope span(obs::Stage::kDezCommit);
 
-  std::vector<DezItem> items(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    items[i].daz_idx = all[i].daz_idx;
-    items[i].lba = all[i].lba;
-    items[i].packed = all[i].packed_size;
-    items[i].blob = &all[i].blob;
-  }
   const auto fold_run = [&](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
       DeltaInfo info;
@@ -388,46 +340,8 @@ void KddCache::commit_staging(IoPlan* plan) {
     }
   };
 
-  std::size_t pos = 0;
-  // Elastic placement: fill the tail slack of open extents before burning
-  // fresh cache pages. FIFO order is preserved — the head delta picks the
-  // destination (best fit by size class) and followers ride while they fit.
-  while (config_.dez_elastic && pos < all.size()) {
-    const std::uint32_t dest = dez_space_.find_open(items[pos].packed);
-    if (dest == DezSpace::kNone) break;
-    const std::uint32_t room = dez_space_.extent(dest).remaining();
-    std::size_t end = pos;
-    std::size_t bytes = 0;
-    while (end < items.size() && bytes + items[end].packed <= room) {
-      bytes += items[end].packed;
-      ++end;
-    }
-    KDD_CHECK(end > pos);
-    const DezWriteResult st =
-        write_dez_run(dest, /*append=*/true,
-                      std::span<DezItem>(items).subspan(pos, end - pos),
-                      SsdWriteKind::kDeltaCommit, plan);
-    if (st == DezWriteResult::kDestUnreadable) {
-      // Cannot append without clobbering what is already packed there: stop
-      // offering this extent and retry placement for the same head delta.
-      note_media_fallback("dez extent unreadable for append");
-      dez_space_.close_page(dest);
-      continue;
-    }
-    if (st == DezWriteResult::kUnwritable) {
-      // Torn rewrite of a live extent: its pre-existing deltas are gone.
-      // Heal their groups from the RAID copy (always current), then fold
-      // this run's deltas into parity synchronously.
-      note_media_fallback("dez extent unwritable at append");
-      heal_dez_page(dest, plan);
-      fold_run(pos, end);
-      pos = end;
-      continue;
-    }
-    pos = end;
-  }
-
   // First-fit packing into fresh DEZ pages, preserving FIFO order.
+  std::size_t pos = 0;
   while (pos < all.size()) {
     std::size_t end = pos;
     std::size_t bytes = 0;
@@ -436,24 +350,15 @@ void KddCache::commit_staging(IoPlan* plan) {
       ++end;
     }
     KDD_CHECK(end > pos);
-    std::uint32_t dez = alloc_dez_slot(plan);
-    if (dez == CacheSets::kNone && config_.dez_gc) {
-      // Under true capacity pressure the fastest page source is the GC
-      // itself: compacting a fragmented extent frees a whole cache page.
-      maybe_gc(plan);
-      dez = alloc_dez_slot(plan);
-    }
+    const std::uint32_t dez = alloc_dez_slot(plan);
     if (dez == CacheSets::kNone) {
       // Emergency: no DEZ page obtainable — fold the remaining deltas into
       // parity synchronously and drop their pages.
       fold_run(pos, all.size());
       return;
     }
-    const DezWriteResult st =
-        write_dez_run(dez, /*append=*/false,
-                      std::span<DezItem>(items).subspan(pos, end - pos),
-                      SsdWriteKind::kDeltaCommit, plan);
-    if (st != DezWriteResult::kOk) {
+    const auto run = std::span<const StagedDelta>(all).subspan(pos, end - pos);
+    if (write_dez_run(dez, run, plan) != IoStatus::kOk) {
       // DEZ page unwritable (media error / power loss): fold this batch's
       // deltas into parity synchronously instead of mapping a bad page.
       note_media_fallback("dez page unwritable at commit");
@@ -466,144 +371,11 @@ void KddCache::commit_staging(IoPlan* plan) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta-zone GC/defrag and the adaptive DAZ/DEZ boundary (ROADMAP item 3)
+// Adaptive DAZ/DEZ boundary
 // ---------------------------------------------------------------------------
 
-void KddCache::maybe_gc(IoPlan* plan) {
-  if (!config_.dez_gc || in_gc_) return;
-  const std::vector<std::uint32_t> victims = dez_space_.pick_victims(
-      config_.dez_gc_dead_ratio, config_.dez_gc_max_victims);
-  if (victims.empty()) return;
-  in_gc_ = true;
-  const obs::SpanScope span(obs::Stage::kClean);
-  ++gc_passes_;
-  kdd_metrics().gc_passes.inc();
-  for (const std::uint32_t v : victims) gc_relocate_page(v, plan);
-  in_gc_ = false;
-  refresh_dez_gauges();
-}
-
-void KddCache::gc_relocate_page(std::uint32_t victim, IoPlan* plan) {
-  // Revalidate: an earlier victim's relocation (or a heal it triggered) may
-  // already have freed or mutated this page.
-  if (!dez_space_.tracked(victim)) return;
-  if (sets_.slot(victim).state != PageState::kDelta) return;
-
-  // Collect the live references, in packing order so the relocation is a
-  // sequential sweep of the victim.
-  std::vector<DezItem> items;
-  for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
-    const CacheSets::CacheSlot& s = sets_.slot(i);
-    if (s.state == PageState::kOld && s.dez_idx == victim) {
-      DezItem it;
-      it.daz_idx = i;
-      it.lba = s.lba;
-      it.packed = s.dez_len;
-      items.push_back(it);
-    }
-  }
-  if (items.empty()) return;
-  std::sort(items.begin(), items.end(), [this](const DezItem& a, const DezItem& b) {
-    return sets_.slot(a.daz_idx).dez_off < sets_.slot(b.daz_idx).dez_off;
-  });
-
-  // Unpack the live deltas up front (prototype mode): the blobs must outlive
-  // every destination write, and an unreadable/torn victim means the live
-  // deltas are already lost — heal their groups from the RAID copy instead.
-  std::vector<Delta> blobs(items.size());
-  if (ssd_.real()) {
-    ScratchPage victim_sp;
-    if (ssd_.read_data(victim, *victim_sp, plan) != IoStatus::kOk) {
-      note_media_fallback("gc victim unreadable");
-      heal_dez_page(victim, plan);
-      return;
-    }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const CacheSets::CacheSlot& s = sets_.slot(items[i].daz_idx);
-      if (!unpack_delta(*victim_sp, s.dez_off, blobs[i]) ||
-          blobs[i].packed_size() != s.dez_len) {
-        note_media_fallback("gc victim delta corrupt");
-        heal_dez_page(victim, plan);
-        return;
-      }
-    }
-  } else {
-    // Counter mode still pays for reading the victim once.
-    ssd_.read_data(victim, {}, plan);
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) items[i].blob = &blobs[i];
-
-  // The victim must never be offered as a relocation destination.
-  dez_space_.close_page(victim);
-
-  std::size_t pos = 0;
-  while (pos < items.size()) {
-    std::uint32_t dest = dez_space_.find_open(items[pos].packed);
-    bool append = dest != DezSpace::kNone;
-    if (append && dest == victim) {  // paranoia: closed above, never offered
-      append = false;
-      dest = DezSpace::kNone;
-    }
-    if (!append) {
-      dest = alloc_dez_slot(plan);
-      if (dest == CacheSets::kNone) return;  // leave the rest in the victim
-    }
-    const std::uint32_t room =
-        append ? dez_space_.extent(dest).remaining()
-               : static_cast<std::uint32_t>(kPageSize);
-    std::size_t end = pos;
-    std::size_t bytes = 0;
-    while (end < items.size() && bytes + items[end].packed <= room) {
-      bytes += items[end].packed;
-      ++end;
-    }
-    KDD_CHECK(end > pos);
-    if (gc_write_hook_) gc_write_hook_();
-    const DezWriteResult st =
-        write_dez_run(dest, append,
-                      std::span<DezItem>(items).subspan(pos, end - pos),
-                      SsdWriteKind::kGcRelocate, plan);
-    if (st == DezWriteResult::kDestUnreadable) {
-      // Cannot RMW this destination extent: stop offering it, retry placement.
-      note_media_fallback("gc destination unreadable");
-      dez_space_.close_page(dest);
-      continue;
-    }
-    if (st == DezWriteResult::kUnwritable) {
-      note_media_fallback("gc destination unwritable");
-      if (append) {
-        // Torn rewrite destroyed the destination's pre-existing deltas; the
-        // victim's deltas are untouched (no state was changed).
-        heal_dez_page(dest, plan);
-      } else {
-        ssd_.trim_data(dest);
-      }
-      return;  // abort this victim; the remaining deltas stay where they are
-    }
-    // Moved: the mappings now point at `dest`; account the holes they left.
-    CacheSets::CacheSlot& vslot = sets_.slot(victim);
-    for (std::size_t i = pos; i < end; ++i) {
-      dez_space_.on_dead(victim, items[i].packed);
-      KDD_CHECK(vslot.valid_count > 0);
-      --vslot.valid_count;
-      ++gc_deltas_relocated_;
-      kdd_metrics().gc_deltas_relocated.inc();
-    }
-    if (vslot.valid_count == 0) {
-      ssd_.trim_data(victim);
-      sets_.reset_slot(victim);
-      dez_space_.on_free(victim);
-      KDD_CHECK(dez_pages_ > 0);
-      --dez_pages_;
-      ++gc_pages_reclaimed_;
-      kdd_metrics().gc_pages_reclaimed.inc();
-    }
-    pos = end;
-  }
-}
-
 void KddCache::note_compressibility(double packed_ratio) {
-  const double w = config_.boundary_ewma;
+  const double w = kCompressibilityEwma;
   comp_ewma_ = (1.0 - w) * comp_ewma_ + w * std::min(1.0, packed_ratio);
 }
 
@@ -631,7 +403,7 @@ std::uint64_t KddCache::boundary_target_pages() const {
   return std::max<std::uint64_t>(1, target);
 }
 
-void KddCache::update_boundary(IoPlan* plan) {
+void KddCache::update_boundary() {
   if (!config_.adaptive_boundary) return;
   if (op_counter_ - last_boundary_op_ < config_.boundary_epoch_ops) return;
   last_boundary_op_ = op_counter_;
@@ -663,9 +435,6 @@ void KddCache::update_boundary(IoPlan* plan) {
   }
   boundary_epoch_misses_ = 0;
   boundary_epoch_ghost_hits_ = 0;
-  // Shrinking below current usage makes the GC the enforcement arm: compact
-  // fragmented extents until the zone fits the new boundary.
-  if (config_.dez_gc && dez_pages_ > dez_limit_pages_) maybe_gc(bg_or(plan));
   refresh_dez_gauges();
 }
 
@@ -1010,7 +779,7 @@ void KddCache::write_preamble(IoPlan* plan) {
     rebuild_->note_foreground();
     if (rebuild_->health() != ArrayHealth::kHealthy) rebuild_->pump(plan);
   }
-  update_boundary(plan);
+  update_boundary();
 }
 
 IoStatus KddCache::write(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan) {
@@ -1295,31 +1064,8 @@ IoStatus KddCache::write_prepared(Lba lba, std::span<const std::uint8_t> data,
 // Cleaning (Section III-D)
 // ---------------------------------------------------------------------------
 
-void KddCache::drain_groups_legacy(std::uint64_t target_pages, IoPlan* plan) {
-  // Starvation fix: the old loop restarted at dirty_groups_.begin() every
-  // iteration, so whichever group hashed to the first bucket was recleaned
-  // over and over while groups later in iteration order waited indefinitely
-  // under a steady dirtying load. Draining a snapshot gives every dirty
-  // group a turn before any group is visited twice; the outer loop re-snaps
-  // only when a full pass made progress (groups dirtied mid-pass).
-  bool progress = true;
-  while (progress && old_pages_ + dez_pages_ > target_pages &&
-         !dirty_groups_.empty()) {
-    progress = false;
-    std::vector<GroupId> snapshot;
-    snapshot.reserve(dirty_groups_.size());
-    for (const auto& [g, n] : dirty_groups_) snapshot.push_back(g);
-    for (const GroupId g : snapshot) {
-      if (old_pages_ + dez_pages_ <= target_pages) return;
-      if (!dirty_groups_.contains(g) || claimed_groups_.contains(g)) continue;
-      if (clean_group(g, plan)) progress = true;
-    }
-  }
-}
-
 void KddCache::maybe_clean(IoPlan* plan) {
   if (cleaning_ || external_cleaner_) return;
-  maybe_gc(bg_or(plan));
   const std::uint64_t high = effective_clean_high_pages();
   if (old_pages_ + dez_pages_ <= high) return;
   cleaning_ = true;
@@ -1327,12 +1073,8 @@ void KddCache::maybe_clean(IoPlan* plan) {
   IoPlan* clean_plan = bg_or(plan);  // cleaning runs in the background thread
   const auto low = static_cast<std::uint64_t>(
       config_.clean_low_watermark * static_cast<double>(sets_.pages()));
-  if (config_.destage_batching) {
-    while (old_pages_ + dez_pages_ > low && !dirty_groups_.empty()) {
-      if (!destage_batch_once(clean_plan)) break;
-    }
-  } else {
-    drain_groups_legacy(low, clean_plan);
+  while (old_pages_ + dez_pages_ > low && !dirty_groups_.empty()) {
+    if (!destage_batch_once(clean_plan)) break;
   }
   ++stats_.cleanings;
   cleaning_ = false;
@@ -1343,13 +1085,9 @@ void KddCache::clean_all(IoPlan* plan) {
   cleaning_ = true;
   // No kClean span here: the callers (on_idle, flush, failure handling)
   // install the root that attributes this pass.
-  if (config_.destage_batching) {
-    while (!dirty_groups_.empty() &&
-           claimed_groups_.size() < dirty_groups_.size()) {
-      if (!destage_batch_once(plan)) break;
-    }
-  } else {
-    drain_groups_legacy(0, plan);
+  while (!dirty_groups_.empty() &&
+         claimed_groups_.size() < dirty_groups_.size()) {
+    if (!destage_batch_once(plan)) break;
   }
   cleaning_ = false;
 }
@@ -1853,8 +1591,6 @@ void KddCache::on_idle(IoPlan* plan) {
   // instead of recording every pass wholesale.
   const obs::TraceContextScope trace(obs::Stage::kClean);
   clean_all(plan);
-  // Idle time is also the cheapest time to compact fragmented DEZ extents.
-  maybe_gc(plan);
   // An idle device is the cheapest time to drain a partial segment, and it
   // bounds how long a committed page can sit in RAM.
   ssd_.force_seal(plan);
@@ -2036,8 +1772,7 @@ void KddCache::recover() {
   }
   // 3. Recompute DEZ page states and valid counts from the old pages, and
   //    rebuild the extent census (tail is the max mapped end offset — a lower
-  //    bound on bytes ever packed, so restored extents stay closed; see
-  //    DezSpace::restore_page).
+  //    bound on the bytes packed at commit; see DezSpace::restore_page).
   struct ExtentCensus {
     std::uint32_t tail = 0, live_bytes = 0, live_count = 0;
   };
@@ -2051,13 +1786,13 @@ void KddCache::recover() {
     c.live_bytes += s.dez_len;
     ++c.live_count;
   }
-  // Mixed-generation audit. A mapping's supersede (a destage record or a GC
-  // relocation) can ride a metadata-log page that died with the torn segment
-  // after the NVRAM buffer evicted it, while mappings minted later survive in
-  // NVRAM — so the replay can resurrect a stale mapping generation alongside
-  // a durable newer one for the same DEZ page. That surfaces as a census that
-  // is self-inconsistent: summed live bytes exceeding the max end offset, or
-  // an end offset past the page. None of the extent's mappings can be told
+  // Mixed-generation audit. A mapping's supersede (a destage record) can ride
+  // a metadata-log page that died with the torn segment after the NVRAM
+  // buffer evicted it, while mappings minted later survive in NVRAM — so the
+  // replay can resurrect a stale mapping generation alongside a durable newer
+  // one for the same DEZ page. That surfaces as a census that is
+  // self-inconsistent: summed live bytes exceeding the max end offset, or an
+  // end offset past the page. None of the extent's mappings can be told
   // apart by generation, and the RAID copy of every mapped page is current
   // (write_page_nopar lands before any delta is staged), so drop every
   // mapping into the extent; the affected groups resync from data below.

@@ -19,7 +19,6 @@
 //   clean -> free          LRU eviction
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -154,32 +153,23 @@ class KddCache final : public BlockCacheBase,
   /// succeeded after the cache folded the group's deltas and retried.
   std::uint64_t degraded_delta_folds() const { return degraded_delta_folds_; }
 
-  // -- Elastic delta zone (src/cache/dez_space.hpp; ROADMAP item 3) ---------
+  // -- Delta-zone accounting and the adaptive boundary ----------------------
   /// Packed bytes still referenced / already invalidated across all DEZ
-  /// pages. dead > 0 is fragmentation the GC can reclaim.
+  /// pages. Dead bytes are the holes superseded deltas leave in write-once
+  /// DEZ pages; a page returns to the DAZ when its last delta dies.
   std::uint64_t dez_live_bytes() const { return dez_space_.live_bytes(); }
   std::uint64_t dez_dead_bytes() const { return dez_space_.dead_bytes(); }
   /// Adaptive DAZ/DEZ boundary: the current cap on DEZ pages (0 = static
   /// layout, no cap).
   std::uint64_t dez_boundary_pages() const { return dez_limit_pages_; }
-  /// Headroom between the boundary and actual DEZ usage — capacity the
-  /// elastic manager reclaimed vs a static layout, spent as burst/degraded
-  /// cleaning slack (see effective_clean_high_pages()).
+  /// Headroom between the boundary and actual DEZ usage, spent as
+  /// burst/degraded cleaning slack (see effective_clean_high_pages()).
   std::uint64_t elastic_spare_pages() const;
   /// Cleaning high watermark in pages after the elastic-spare boost (equals
   /// the configured watermark whenever the spare is zero).
   std::uint64_t effective_clean_high_pages() const;
-  std::uint64_t gc_passes() const { return gc_passes_; }
-  std::uint64_t gc_pages_reclaimed() const { return gc_pages_reclaimed_; }
-  std::uint64_t gc_deltas_relocated() const { return gc_deltas_relocated_; }
   std::uint64_t boundary_moves() const { return boundary_moves_; }
   const DezSpace& dez_space() const { return dez_space_; }
-  /// Test hook: invoked immediately before every GC relocation write hits the
-  /// cache device. The torture harness uses it to pin a power cut
-  /// mid-relocation (see tests/test_torture.cpp).
-  void set_gc_write_hook(std::function<void()> hook) {
-    gc_write_hook_ = std::move(hook);
-  }
 
   /// Exhaustively validates the internal data-structure invariants (per-set
   /// counters, delta bookkeeping, DEZ valid counts, dirty-group accounting,
@@ -244,43 +234,25 @@ class KddCache final : public BlockCacheBase,
 
   void stage_delta(Lba lba, std::uint32_t daz_idx, DeltaInfo info, IoPlan* plan);
 
-  /// Packs all staged deltas into DEZ pages (Section III-B). With
-  /// config_.dez_elastic the tail slack of open extents is filled first.
+  /// Packs all staged deltas first-fit into fresh, write-once DEZ pages
+  /// (Section III-B), preserving FIFO order.
   void commit_staging(IoPlan* plan);
 
-  /// One packed delta headed for (or moving within) the DEZ.
-  struct DezItem {
-    std::uint32_t daz_idx = 0;
-    Lba lba = kInvalidLba;
-    std::uint32_t packed = 0;
-    Delta* blob = nullptr;  ///< real payload (prototype mode)
-  };
-  enum class DezWriteResult { kOk, kDestUnreadable, kUnwritable };
-
-  /// One DEZ destination write, shared by the commit path and the GC
-  /// relocator: packs `run` at the extent tail (append) or from offset 0
-  /// (fresh page), writes the page image with `kind`, and on success repoints
-  /// each source DAZ slot and logs the new mapping. Write-before-map: the
-  /// page is on media before any metadata names it. On failure no state is
-  /// touched — the caller decides between fallback-fold and group healing.
-  DezWriteResult write_dez_run(std::uint32_t dest, bool append,
-                               std::span<DezItem> run, SsdWriteKind kind,
-                               IoPlan* plan);
-
-  /// heal_group for every group holding a live delta in DEZ page `dez_idx`
-  /// (used when a torn extent rewrite destroys pre-existing deltas).
-  void heal_dez_page(std::uint32_t dez_idx, IoPlan* plan);
-
-  /// Delta-zone GC/defrag (config_.dez_gc): relocates the live deltas of
-  /// fragmented DEZ pages via write_dez_run and frees the victims.
-  void maybe_gc(IoPlan* plan);
-  void gc_relocate_page(std::uint32_t victim, IoPlan* plan);
+  /// One DEZ page write: packs `run` from offset 0 into the free slot
+  /// `dest`, writes the page image, and on success maps `dest` as a DEZ page,
+  /// repoints each source DAZ slot and logs the new mapping. Write-before-map:
+  /// the page is on media before any metadata names it. On failure no state
+  /// is touched — the caller folds the run into parity instead.
+  IoStatus write_dez_run(std::uint32_t dest, std::span<const StagedDelta> run,
+                         IoPlan* plan);
 
   /// Adaptive DAZ/DEZ boundary (config_.adaptive_boundary): epoch-based,
   /// dead-banded, bounded-step adjustment of dez_limit_pages_ from the
   /// compressibility EWMA and the ghost-LRU miss signal.
-  void update_boundary(IoPlan* plan);
+  void update_boundary();
   std::uint64_t boundary_target_pages() const;
+  /// Weight of each new compressibility sample in the boundary's EWMA.
+  static constexpr double kCompressibilityEwma = 0.05;
   void note_compressibility(double packed_ratio);
   void note_boundary_miss(Lba lba);
   /// Largest packed delta admitted to the deferred-parity path; drops below
@@ -320,10 +292,6 @@ class KddCache final : public BlockCacheBase,
   /// Runs one claim -> prepare -> fold -> commit pipeline pass inline.
   /// Returns false when no claimable work was left (caller stops looping).
   bool destage_batch_once(IoPlan* plan);
-  /// Legacy per-group drain over a snapshot of the dirty set (starvation-free:
-  /// every dirty group gets a turn before any group is revisited). Stops when
-  /// `target_pages` is reached or no snapshot makes progress.
-  void drain_groups_legacy(std::uint64_t target_pages, IoPlan* plan);
   /// Returns true when `g` left the dirty set (cleaned or healed); false
   /// signals no progress, so the caller's loop must stop rather than spin.
   bool clean_group(GroupId g, IoPlan* plan);
@@ -381,8 +349,8 @@ class KddCache final : public BlockCacheBase,
   std::uint64_t degraded_delta_folds_ = 0;  ///< fold-then-retry recoveries
   bool cleaning_ = false;
 
-  // -- Elastic delta zone ---------------------------------------------------
-  DezSpace dez_space_;  ///< per-DEZ-page extent accounting (always on)
+  // -- Delta-zone accounting and the adaptive boundary ----------------------
+  DezSpace dez_space_;  ///< per-DEZ-page extent accounting
   std::unique_ptr<GhostLru> boundary_ghost_;  ///< adaptive_boundary miss signal
   std::uint64_t dez_limit_pages_ = 0;  ///< adaptive DEZ cap; 0 = uncapped
   double comp_ewma_ = 0.5;             ///< rolling packed/page estimate
@@ -391,11 +359,6 @@ class KddCache final : public BlockCacheBase,
   std::uint64_t boundary_epoch_ghost_hits_ = 0;
   std::int8_t boundary_pending_dir_ = 0;  ///< last epoch's out-of-band side
   std::uint64_t boundary_moves_ = 0;
-  std::uint64_t gc_passes_ = 0;
-  std::uint64_t gc_pages_reclaimed_ = 0;
-  std::uint64_t gc_deltas_relocated_ = 0;
-  bool in_gc_ = false;
-  std::function<void()> gc_write_hook_;  ///< see set_gc_write_hook
 };
 
 }  // namespace kdd

@@ -2,8 +2,8 @@
 // prepare -> fold -> commit protocol on KddCache, the disk-layout-ordered
 // batch planner, and the acceptance property of the overhaul — the batched
 // cleaner (inline or driven by the ConcurrentCache cleaner pool) converges
-// to a final array state byte-identical to the legacy per-group serial
-// cleaner on a fig9-style replay.
+// to a final array state byte-identical to the same replay through no cache
+// at all on a fig9-style trace.
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -16,6 +16,7 @@
 #include "kdd/concurrent.hpp"
 #include "kdd/destage.hpp"
 #include "kdd/kdd_cache.hpp"
+#include "policies/nocache.hpp"
 #include "raid/raid_array.hpp"
 #include "trace/generators.hpp"
 
@@ -219,31 +220,42 @@ TEST(DestageBatch, BatchSizeHonoursConfigOverrideAndClampsAuto) {
   }
 }
 
-// The acceptance property (fig9-style replay): legacy per-group serial
-// cleaning, inline batched cleaning, and pool-driven batched cleaning all
-// converge to byte-identical array contents. Stats may differ (the *order*
-// groups are destaged in differs, so eviction timing differs) — the digest
-// and a clean scrub are the invariants.
-TEST(DestageBatch, BatchedAndPooledCleanersMatchLegacyDigest) {
+// The acceptance property (fig9-style replay): inline batched cleaning and
+// pool-driven batched cleaning both converge to the array contents of the
+// same replay through no cache at all (ground truth: every write lands on
+// the array directly). Stats may differ (the *order* groups are destaged in
+// differs, so eviction timing differs) — the digest and a clean scrub are
+// the invariants.
+TEST(DestageBatch, BatchedAndPooledCleanersMatchNoCacheDigest) {
   SyntheticTraceConfig tcfg = fin1_config(0.01);
   tcfg.seed = 5;
   const Trace trace = generate_synthetic_trace(tcfg);
   const RaidGeometry geo = paper_geometry(tcfg.unique_total());
 
+  std::uint64_t truth_digest = 0;
+  std::uint64_t truth_requests = 0;
+  {
+    RaidArray array(geo);
+    NoCachePolicy nossd(&array);
+    ConcurrentCache cache(&nossd, &array.layout(), std::chrono::milliseconds(2));
+    const ConcurrentReplayResult r = run_concurrent_trace(
+        cache, array.layout(), trace, geo.data_pages(), /*threads=*/1, /*seed=*/3);
+    EXPECT_TRUE(array.scrub().empty());
+    truth_digest = replay_readback_digest(cache, geo.data_pages());
+    truth_requests = r.ops;
+  }
+  ASSERT_GT(truth_requests, 0u);
+
   struct Run {
     const char* name;
-    bool batching;
     unsigned threads;
     std::uint32_t pool;
   };
   const Run runs[] = {
-      {"legacy-serial", false, 1, 0},
-      {"batched-inline", true, 1, 0},
-      {"batched-pool", true, 4, 3},
+      {"batched-inline", 1, 0},
+      {"batched-pool", 4, 3},
   };
 
-  std::uint64_t legacy_digest = 0;
-  std::uint64_t legacy_requests = 0;
   for (const Run& run : runs) {
     RaidArray array(geo);
     SsdConfig scfg;
@@ -253,7 +265,6 @@ TEST(DestageBatch, BatchedAndPooledCleanersMatchLegacyDigest) {
     cfg.ssd_pages = scfg.logical_pages;
     cfg.clean_high_watermark = 0.25;
     cfg.clean_low_watermark = 0.10;
-    cfg.destage_batching = run.batching;
     KddCache kdd(cfg, &array, &ssd);
     ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(2),
                           run.pool);
@@ -267,42 +278,8 @@ TEST(DestageBatch, BatchedAndPooledCleanersMatchLegacyDigest) {
       EXPECT_EQ(cache.pool_threads(), run.pool) << run.name;
       EXPECT_GT(cache.pool_batches(), 0u) << run.name;
     }
-    if (legacy_requests == 0) {
-      legacy_digest = digest;
-      legacy_requests = r.ops;
-    } else {
-      EXPECT_EQ(digest, legacy_digest) << run.name;
-      EXPECT_EQ(r.ops, legacy_requests) << run.name;
-    }
-  }
-}
-
-// destage_batching=false disables the *inline* batch path; the facade's
-// cleaner pool (enabled explicitly via cleaner_threads) may still drive the
-// claim protocol. Whichever path runs, flush must drain everything and the
-// final contents must be exact.
-TEST(DestageBatch, LegacyModeStillDrainsUnderFacade) {
-  const RaidGeometry geo = small_geo();
-  RaidArray array(geo);
-  SsdConfig scfg;
-  scfg.logical_pages = 256;
-  SsdModel ssd(scfg);
-  PolicyConfig cfg = manual_config();
-  cfg.destage_batching = false;
-  KddCache kdd(cfg, &array, &ssd);
-  ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(2),
-                        /*cleaner_threads=*/2);
-
-  Page buf = make_page();
-  for (Lba lba = 0; lba < 64; ++lba) {
-    ASSERT_EQ(cache.write(lba, versioned_page(lba, 1)), IoStatus::kOk);
-    ASSERT_EQ(cache.write(lba, versioned_page(lba, 2)), IoStatus::kOk);
-  }
-  cache.flush();
-  EXPECT_TRUE(array.scrub().empty());
-  for (Lba lba = 0; lba < 64; ++lba) {
-    ASSERT_EQ(cache.read(lba, buf), IoStatus::kOk);
-    EXPECT_EQ(buf, versioned_page(lba, 2));
+    EXPECT_EQ(digest, truth_digest) << run.name;
+    EXPECT_EQ(r.ops, truth_requests) << run.name;
   }
 }
 

@@ -1,6 +1,5 @@
-// Elastic compression-aware delta zone (ROADMAP item 3): the variable-size
-// extent allocator (src/cache/dez_space), the online delta-zone GC/defrag,
-// and the adaptive DAZ/DEZ boundary with its elastic spare.
+// Delta-zone extent accounting (src/cache/dez_space) and the adaptive
+// DAZ/DEZ boundary with its elastic spare.
 
 #include "cache/dez_space.hpp"
 
@@ -20,7 +19,7 @@ namespace {
 using testing::ReferenceModel;
 
 // ---------------------------------------------------------------------------
-// DezSpace: the variable-size slot allocator
+// DezSpace: per-page extent accounting
 // ---------------------------------------------------------------------------
 
 TEST(DezSpace, AppendTracksTailLiveAndOffsets) {
@@ -40,57 +39,6 @@ TEST(DezSpace, AppendTracksTailLiveAndOffsets) {
   EXPECT_EQ(e.remaining(), kPageSize - 350u);
   EXPECT_EQ(sp.pages(), 1u);
   EXPECT_EQ(sp.live_bytes(), 350u);
-}
-
-TEST(DezSpace, BestFitPrefersSmallestClassThatFits) {
-  DezSpace sp;
-  sp.reset(16);
-  // Extent 0: 3900 B free. Extent 1: 600 B free. Extent 2: 90 B free.
-  sp.open_page(0);
-  sp.append(0, 196);
-  sp.open_page(1);
-  sp.append(1, kPageSize - 600);
-  sp.open_page(2);
-  sp.append(2, kPageSize - 90);
-  // A 500 B delta fits extents 0 and 1; best-fit-by-class picks the tighter 1.
-  EXPECT_EQ(sp.find_open(500), 1u);
-  // A 64 B delta fits everywhere; the tightest class that fits is extent 2.
-  EXPECT_EQ(sp.find_open(64), 2u);
-  // A 2000 B delta only fits the big extent.
-  EXPECT_EQ(sp.find_open(2000), 0u);
-  // Nothing has a whole page of slack.
-  EXPECT_EQ(sp.find_open(kPageSize), DezSpace::kNone);
-}
-
-TEST(DezSpace, AppendRebinsAsSlackShrinks) {
-  DezSpace sp;
-  sp.reset(8);
-  sp.open_page(0);
-  sp.append(0, 100);
-  EXPECT_EQ(sp.find_open(3000), 0u);  // plenty of slack
-  // Consume nearly everything: the extent must migrate to a smaller class
-  // and stop being offered for large requests, while small ones still fit.
-  sp.append(0, kPageSize - 100 - 80);
-  EXPECT_EQ(sp.find_open(3000), DezSpace::kNone);
-  EXPECT_EQ(sp.find_open(70), 0u);
-  // Below the 64 B grain the extent leaves the bins entirely (but stays open
-  // for accounting purposes: it was never explicitly closed).
-  sp.append(0, 40);
-  EXPECT_EQ(sp.find_open(64), DezSpace::kNone);
-  EXPECT_TRUE(sp.extent(0).open);
-}
-
-TEST(DezSpace, CloseRemovesFromPlacementButKeepsAccounting) {
-  DezSpace sp;
-  sp.reset(8);
-  sp.open_page(5);
-  sp.append(5, 128);
-  EXPECT_EQ(sp.find_open(128), 5u);
-  sp.close_page(5);
-  EXPECT_EQ(sp.find_open(128), DezSpace::kNone);
-  EXPECT_TRUE(sp.tracked(5));
-  EXPECT_EQ(sp.extent(5).live_bytes, 128u);
-  EXPECT_EQ(sp.open_pages(), 0u);
 }
 
 TEST(DezSpace, DeadAndFreeAccounting) {
@@ -115,45 +63,8 @@ TEST(DezSpace, DeadAndFreeAccounting) {
   EXPECT_EQ(sp.append(1, 64), 0u);
 }
 
-TEST(DezSpace, PickVictimsHonoursThresholdAndOrdersMostDeadFirst) {
-  DezSpace sp;
-  sp.reset(16);
-  // Four extents, seven 500 B deltas each; kill 6 / 2 / 5 / 0 of them, so the
-  // dead-byte ledgers read 3000 / 1000 / 2500 / 0 with at least one live
-  // delta left everywhere (fully-dead pages free on the spot, never GC).
-  const int dead_counts[4] = {6, 2, 5, 0};
-  for (std::uint32_t idx = 0; idx < 4; ++idx) {
-    sp.open_page(idx);
-    for (int i = 0; i < 7; ++i) sp.append(idx, 500);
-    for (int i = 0; i < dead_counts[idx]; ++i) sp.on_dead(idx, 500);
-  }
-  // Threshold 0.5 * 4096 = 2048 dead bytes: extents 0 and 2, most-dead first.
-  const std::vector<std::uint32_t> victims = sp.pick_victims(0.5, 8);
-  ASSERT_EQ(victims.size(), 2u);
-  EXPECT_EQ(victims[0], 0u);
-  EXPECT_EQ(victims[1], 2u);
-  ASSERT_EQ(sp.pick_victims(0.5, 1).size(), 1u);
-  EXPECT_EQ(sp.pick_victims(0.5, 1)[0], 0u);
-  EXPECT_EQ(sp.pick_victims(0.9, 8).size(), 0u);
-}
-
-TEST(DezSpace, RestoredExtentsStayClosedToAppends) {
-  DezSpace sp;
-  sp.reset(8);
-  // Recovery rebuilt a census from the mappings: the tail is a lower bound,
-  // so the extent must never be offered for appends (a crash-era delta could
-  // live beyond it) — but it is still a GC victim candidate.
-  sp.restore_page(2, 1024, 256, 1);
-  EXPECT_TRUE(sp.tracked(2));
-  EXPECT_FALSE(sp.extent(2).open);
-  EXPECT_EQ(sp.find_open(64), DezSpace::kNone);
-  const std::vector<std::uint32_t> victims = sp.pick_victims(0.15, 4);
-  ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], 2u);
-}
-
 // ---------------------------------------------------------------------------
-// End-to-end: elastic placement, GC, boundary, spare
+// End-to-end: boundary, spare, accounting
 // ---------------------------------------------------------------------------
 
 RaidGeometry small_geo() {
@@ -176,8 +87,6 @@ PolicyConfig elastic_cfg() {
   PolicyConfig cfg;
   cfg.ssd_pages = 256;
   cfg.ways = 8;
-  cfg.dez_elastic = true;
-  cfg.dez_gc = true;
   return cfg;
 }
 
@@ -198,70 +107,6 @@ void run_mix(KddCache& kdd, ReferenceModel& model, const ContentGenerator& gen,
       ASSERT_EQ(buf, model.read(lba)) << "lba " << lba << " iter " << i;
     }
   }
-}
-
-TEST(ElasticDez, ElasticPlacementPacksDenserThanFixed) {
-  // Same seeded compressible workload twice; only the placement differs.
-  // Elastic commits append into open-extent slack, so the surviving DEZ
-  // extents carry more packed bytes per page than fixed write-once pages.
-  double density[2] = {0.0, 0.0};
-  std::uint64_t pages[2] = {0, 0};
-  for (const bool elastic : {false, true}) {
-    RaidArray array(small_geo());
-    SsdModel ssd(small_ssd());
-    PolicyConfig cfg = elastic_cfg();
-    cfg.dez_elastic = elastic;
-    cfg.dez_gc = false;  // isolate the allocator effect
-    // High watermark: keep deltas resident instead of cleaning them away.
-    cfg.clean_high_watermark = 0.9;
-    KddCache kdd(cfg, &array, &ssd);
-    ReferenceModel model;
-    const ContentGenerator gen(21);
-    Rng rng(22);
-    run_mix(kdd, model, gen, rng, 1200, 120, 0.05);
-    kdd.check_invariants();
-    ASSERT_GT(kdd.dez_pages(), 0u);
-    pages[elastic ? 1 : 0] = kdd.dez_pages();
-    density[elastic ? 1 : 0] =
-        static_cast<double>(kdd.dez_live_bytes() + kdd.dez_dead_bytes()) /
-        static_cast<double>(kdd.dez_pages());
-    kdd.flush(nullptr);
-    EXPECT_TRUE(array.scrub().empty());
-  }
-  EXPECT_GT(density[1], density[0])
-      << "elastic placement should pack more bytes into each DEZ page";
-  EXPECT_LE(pages[1], pages[0])
-      << "denser packing must not cost extra DEZ pages";
-}
-
-TEST(ElasticDez, GcReclaimsFragmentedPagesAndDataSurvives) {
-  RaidArray array(small_geo());
-  SsdModel ssd(small_ssd());
-  PolicyConfig cfg = elastic_cfg();
-  cfg.clean_high_watermark = 0.9;  // cleaning would reclaim pages first
-  cfg.dez_gc_dead_ratio = 0.3;
-  KddCache kdd(cfg, &array, &ssd);
-  ReferenceModel model;
-  const ContentGenerator gen(31);
-  Rng rng(32);
-  // Round 1 populates DEZ pages; round 2 overwrites the same LBAs, so every
-  // superseded delta leaves a dead hole behind.
-  run_mix(kdd, model, gen, rng, 900, 100, 0.05);
-  run_mix(kdd, model, gen, rng, 900, 100, 0.05);
-  EXPECT_GT(kdd.dez_dead_bytes(), 0u);
-  kdd.on_idle(nullptr);  // idle runs the GC
-  EXPECT_GT(kdd.gc_passes(), 0u);
-  EXPECT_GT(kdd.gc_deltas_relocated(), 0u);
-  EXPECT_GT(kdd.gc_pages_reclaimed(), 0u);
-  kdd.check_invariants();
-  // Every relocated delta must still combine correctly.
-  Page buf = make_page();
-  for (const auto& [lba, page] : model.pages()) {
-    ASSERT_EQ(kdd.read(lba, buf, nullptr), IoStatus::kOk);
-    ASSERT_EQ(buf, page) << "lba " << lba;
-  }
-  kdd.flush(nullptr);
-  EXPECT_TRUE(array.scrub().empty());
 }
 
 TEST(ElasticDez, BoundaryTracksCompressibilityWithoutThrashing) {
@@ -363,7 +208,7 @@ TEST(ElasticDez, ElasticSpareBoostsCleaningHeadroomWhenDegraded) {
 
 TEST(ElasticDez, CounterModeAccountingMatchesInvariants) {
   // Counter mode: extent accounting is always-on and must stay consistent
-  // with the slot mappings even with every elastic behaviour enabled.
+  // with the slot mappings with the adaptive boundary enabled.
   PolicyConfig cfg = elastic_cfg();
   cfg.adaptive_boundary = true;
   cfg.boundary_epoch_ops = 64;

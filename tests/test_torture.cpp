@@ -114,32 +114,6 @@ TEST(Torture, ReportExposesFaultTelemetry) {
   EXPECT_GT(rep.pages_verified, 0u);
 }
 
-// Crash pinned mid-GC-relocation: the torture config runs with the elastic
-// delta zone, GC and adaptive boundary ON, and run_gc_crash_case tears power
-// exactly at a GC relocation write (the hook marks the media-write index of
-// every live-delta move). The write-before-map discipline must hold: a live
-// delta is never lost (old mapping -> intact victim, or new mapping ->
-// written destination) and a reclaimed extent is never resurrected. Seeds
-// without a GC victim degenerate to clean no-ops; the sweep must still find
-// plenty of real mid-relocation cuts.
-TEST(Torture, PowerCutPinnedMidGcRelocationZeroViolations) {
-  TortureRunner runner;
-  int gc_cuts = 0;
-  for (std::uint64_t seed = 301; seed <= 340; ++seed) {
-    const TortureReport rep = runner.run_gc_crash_case(seed);
-    expect_clean(rep);
-    ASSERT_TRUE(rep.ok()) << "seed " << seed;
-    if (rep.gc_relocation_writes > 0) {
-      ++gc_cuts;
-      EXPECT_TRUE(rep.cut_fired) << "seed " << seed;
-    }
-  }
-  // The workload shape (55% writes, working set > cache, high locality) must
-  // fragment enough DEZ extents that a healthy majority of seeds actually
-  // exercise a mid-relocation cut.
-  EXPECT_GE(gc_cuts, 10);
-}
-
 // Power cut DURING an online rebuild (ISSUE 6 tentpole): the NVRAM rebuild
 // checkpoint survives, the resumed cursor never regresses below the cut
 // threshold, completed chunks are not reconstructed twice, and the fully
