@@ -63,7 +63,7 @@ int main() {
   {
     std::printf("(b) NVRAM staging-buffer size\n");
     TextTable t({"Staging bytes", "Delta-commit pages", "SSD writes (GiB)"});
-    for (const std::size_t pages : {1, 2, 4, 8}) {
+    for (const std::size_t pages : {1u, 2u, 4u, 8u}) {
       const CacheStats s = run_kdd([pages](PolicyConfig& cfg) {
         cfg.staging_buffer_bytes = pages * kPageSize;
       });

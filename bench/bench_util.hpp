@@ -55,6 +55,13 @@ inline std::string kpages(std::uint64_t pages) {
 
 inline std::string pct(double v) { return TextTable::num(v * 100.0, 1) + "%"; }
 
+/// A reduction by fraction `v`, printed as a negative percentage ("-12.3%").
+inline std::string cut_pct(double v) {
+  std::string s = "-";
+  s += pct(v);
+  return s;
+}
+
 /// Header banner shared by all bench binaries.
 inline void banner(const char* experiment, const char* what, double scale) {
   std::printf("=== %s — %s ===\n", experiment, what);

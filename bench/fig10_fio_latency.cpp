@@ -44,8 +44,8 @@ int main() {
       if (kind == PolicyKind::kKdd) kdd_ms = ms;
       row.push_back(TextTable::num(ms, 2));
     }
-    row.push_back("-" + bench::pct(1.0 - kdd_ms / nossd_ms));
-    row.push_back("-" + bench::pct(1.0 - kdd_ms / wt_ms));
+    row.push_back(bench::cut_pct(1.0 - kdd_ms / nossd_ms));
+    row.push_back(bench::cut_pct(1.0 - kdd_ms / wt_ms));
     table.add_row(std::move(row));
   }
   table.print();
@@ -76,7 +76,7 @@ int main() {
     }
     qd_table.add_row({std::to_string(qd), TextTable::num(nossd_ms, 2),
                       TextTable::num(kdd_ms, 2),
-                      "-" + bench::pct(1.0 - kdd_ms / nossd_ms)});
+                      bench::cut_pct(1.0 - kdd_ms / nossd_ms)});
   }
   std::printf("\nQueue-depth sweep (50%% reads, closed loop):\n");
   qd_table.print();

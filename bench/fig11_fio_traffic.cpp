@@ -43,8 +43,8 @@ int main() {
       if (kind == PolicyKind::kKdd) kdd = gib;
       row.push_back(TextTable::num(gib, 2));
     }
-    row.push_back("-" + bench::pct(1.0 - kdd / wt));
-    row.push_back("-" + bench::pct(1.0 - kdd / leavo));
+    row.push_back(bench::cut_pct(1.0 - kdd / wt));
+    row.push_back(bench::cut_pct(1.0 - kdd / leavo));
     table.add_row(std::move(row));
   }
   table.print();
@@ -79,7 +79,7 @@ int main() {
     }
     qd_table.add_row({std::to_string(qd), TextTable::num(wt, 2),
                       TextTable::num(kdd, 2),
-                      "-" + bench::pct(1.0 - kdd / wt)});
+                      bench::cut_pct(1.0 - kdd / wt)});
   }
   std::printf("\nQueue-depth sweep (25%% reads, closed loop):\n");
   qd_table.print();

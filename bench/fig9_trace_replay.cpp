@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
       if (kind == PolicyKind::kKdd) kdd_ms = ms;
       row.push_back(TextTable::num(ms, 2));
     }
-    row.push_back("-" + bench::pct(1.0 - kdd_ms / nossd_ms));
+    row.push_back(bench::cut_pct(1.0 - kdd_ms / nossd_ms));
     table.add_row(std::move(row));
   }
   table.print();

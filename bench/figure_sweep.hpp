@@ -165,8 +165,8 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
         }
       }
       if (fig.traffic_mode) {
-        row.push_back("-" + pct(1.0 - kdd25_traffic / wt_traffic));
-        row.push_back("-" + pct(1.0 - kdd25_traffic / leavo_traffic));
+        row.push_back(cut_pct(1.0 - kdd25_traffic / wt_traffic));
+        row.push_back(cut_pct(1.0 - kdd25_traffic / leavo_traffic));
       }
       table.add_row(std::move(row));
     }

@@ -503,9 +503,9 @@ void ConcurrentCache::refill_pool_locked(bool force) {
   const std::size_t target = destage_->destage_batch_hint() * pool_size_;
   const std::vector<GroupId> groups = destage_->destage_claim(target);
   if (groups.empty()) return;
-  // Partition the disk-layout-ordered claim into per-stripe jobs; order
-  // within a job is preserved, so each worker still walks its parity pages
-  // in layout order.
+  // The claim holds the coldest dirty groups in disk-layout order. Partition
+  // it into per-stripe jobs; order within a job is preserved, so each worker
+  // still walks its parity pages in layout order.
   std::array<std::vector<GroupId>, kStripes> per_stripe;
   for (const GroupId g : groups) {
     per_stripe[stripe_of_group(g)].push_back(g);

@@ -56,10 +56,12 @@ class DestageSource {
  public:
   virtual ~DestageSource() = default;
 
-  /// Claims up to `max_groups` dirty, unclaimed parity groups and returns
-  /// them in disk-layout order (parity disk, then parity page): a batch
-  /// destaged in this order walks each spindle sequentially. Claimed groups
-  /// are skipped by the policy's own cleaning passes until released.
+  /// Claims the (up to) `max_groups` least recently written dirty, unclaimed
+  /// parity groups and returns them in disk-layout order (parity disk, then
+  /// parity page): recency picks the victims, so groups still being
+  /// rewritten stay cached, and a batch issued in layout order walks each
+  /// spindle sequentially. Claimed groups are skipped by the policy's own
+  /// cleaning passes until released.
   virtual std::vector<GroupId> destage_claim(std::size_t max_groups) = 0;
 
   /// Stage 1: snapshots the delta sources of `groups` (all must be claimed).

@@ -84,6 +84,7 @@ KddCache::KddCache(const PolicyConfig& config, const RaidGeometry& geo,
   if (config.adaptive_boundary) {
     boundary_ghost_ = std::make_unique<GhostLru>(sets_.pages());
     dez_limit_pages_ = boundary_target_pages();
+    boundary_target_ewma_ = static_cast<double>(dez_limit_pages_);
   }
   refresh_dez_gauges();
   if (config.segment_staging) {
@@ -111,6 +112,7 @@ KddCache::KddCache(const PolicyConfig& config, RaidArray* array, SsdModel* ssd,
   if (config.adaptive_boundary) {
     boundary_ghost_ = std::make_unique<GhostLru>(sets_.pages());
     dez_limit_pages_ = boundary_target_pages();
+    boundary_target_ewma_ = static_cast<double>(dez_limit_pages_);
   }
   // Staging is enabled (so recover() can replay the in-flight segment) but
   // only activated once the cache state is consistent: recovery's own reads
@@ -163,9 +165,10 @@ bool KddCache::handle_disk_failure_online(std::uint32_t disk) {
 
 bool KddCache::destage_range(GroupId begin, GroupId end, IoPlan* plan) {
   std::vector<GroupId> in_range;
-  for (const auto& [g, n] : dirty_groups_) {
+  dirty_groups_.visit_coldest_first([&](GroupId g) {
     if (g >= begin && g < end) in_range.push_back(g);
-  }
+    return true;
+  });
   bool all_clear = true;
   for (const GroupId g : in_range) {
     if (!dirty_groups_.contains(g)) continue;  // cleaned by an earlier fold
@@ -272,6 +275,8 @@ void KddCache::charge_delta_read(const CacheSets::CacheSlot& slot, IoPlan* plan)
 void KddCache::stage_delta(Lba lba, std::uint32_t daz_idx, DeltaInfo info,
                            IoPlan* plan) {
   KDD_CHECK(info.packed <= kPageSize);
+  // Touch first: the commit below may fold (and even heal) this very group.
+  dirty_groups_.touch(raid_.layout().group_of(lba));
   nvram_->staging.erase(lba);
   if (!nvram_->staging.fits(info.packed)) commit_staging(plan);
   StagedDelta d;
@@ -407,12 +412,19 @@ void KddCache::update_boundary() {
   if (!config_.adaptive_boundary) return;
   if (op_counter_ - last_boundary_op_ < config_.boundary_epoch_ops) return;
   last_boundary_op_ = op_counter_;
-  const std::uint64_t target = boundary_target_pages();
-  // Dead band + bounded step + two-epoch confirmation: the EWMA ripple from
-  // alternating compressibility lands the target just outside the dead band
-  // on *alternating* sides, so requiring the same out-of-band direction in two
-  // consecutive epochs kills the flip-flop without delaying a genuine phase
-  // shift by more than one epoch (tests/test_elastic.cpp pins this down).
+  // Under mixed compressibility one epoch's raw target swings widely: the
+  // compressibility EWMA wanders by about +-0.07 between epochs, and with
+  // ghost hits near half of the misses the x0.75 ghost factor flips on a
+  // single hit. The boundary follows an EWMA of the raw target instead, which
+  // still reaches 90% of a genuine phase shift within eight epochs.
+  boundary_target_ewma_ +=
+      kBoundaryTargetEwma *
+      (static_cast<double>(boundary_target_pages()) - boundary_target_ewma_);
+  const auto target = static_cast<std::uint64_t>(std::llround(boundary_target_ewma_));
+  // Dead band + bounded step + two-epoch confirmation: residual ripple that
+  // lands the target just outside the dead band on *alternating* sides never
+  // moves the boundary, while a genuine phase shift is delayed by at most one
+  // epoch (tests/test_elastic.cpp pins this down).
   const std::uint64_t dead_band = std::max<std::uint64_t>(1, sets_.pages() / 64);
   const std::uint64_t step = std::max<std::uint64_t>(1, sets_.pages() / 32);
   const std::uint64_t cur = dez_limit_pages_;
@@ -586,8 +598,7 @@ void KddCache::resolve_and_drop(std::uint32_t daz_idx, const DeltaInfo* override
     charge_delta_read(slot, plan);
   }
   const GroupDelta gd{index, xor_diff};
-  const bool last_in_group =
-      dirty_groups_.count(g) != 0 && dirty_groups_.at(g) == 1;
+  const bool last_in_group = dirty_groups_.old_pages(g) == 1;
   const IoStatus st =
       raid_.update_parity_rmw(g, std::span<const GroupDelta>(&gd, 1), plan,
                               /*finalize=*/last_in_group);
@@ -605,20 +616,14 @@ void KddCache::resolve_and_drop(std::uint32_t daz_idx, const DeltaInfo* override
 
 void KddCache::note_old_transition(std::uint32_t daz_idx) {
   const CacheSets::CacheSlot& slot = sets_.slot(daz_idx);
-  const GroupId g = raid_.layout().group_of(slot.lba);
-  if (++dirty_groups_[g] == 1) stale_since_[g] = op_counter_;
+  dirty_groups_.add_page(raid_.layout().group_of(slot.lba), op_counter_);
   ++old_pages_;
 }
 
 void KddCache::note_group_repair(GroupId g) {
-  const auto it = dirty_groups_.find(g);
-  KDD_CHECK(it != dirty_groups_.end() && it->second > 0);
-  if (--it->second > 0) return;
-  dirty_groups_.erase(it);
-  const auto since = stale_since_.find(g);
-  if (since != stale_since_.end()) {
-    staleness_ages_.record(op_counter_ - since->second);
-    stale_since_.erase(since);
+  std::uint64_t stale_since = 0;
+  if (dirty_groups_.remove_page(g, &stale_since)) {
+    staleness_ages_.record(op_counter_ - stale_since);
   }
 }
 
@@ -1324,17 +1329,21 @@ bool KddCache::destage_pending() const {
 }
 
 std::vector<GroupId> KddCache::destage_claim(std::size_t max_groups) {
-  std::vector<GroupId> cands;
-  if (max_groups == 0) return cands;
-  cands.reserve(dirty_groups_.size());
-  for (const auto& [g, n] : dirty_groups_) {
-    if (!claimed_groups_.contains(g)) cands.push_back(g);
-  }
-  // Disk-layout order: a batch destaged in (parity disk, parity page) order
-  // walks each spindle sequentially instead of hopping between rotations.
+  std::vector<GroupId> batch;
+  if (max_groups == 0) return batch;
+  // Victims by recency: the least recently written unclaimed groups. A group
+  // that is still being rewritten keeps its old pages cached, so its next
+  // writes stay delta hits instead of misses after a drop.
+  batch.reserve(std::min(max_groups, dirty_groups_.size()));
+  dirty_groups_.visit_coldest_first([&](GroupId g) {
+    if (!claimed_groups_.contains(g)) batch.push_back(g);
+    return batch.size() < max_groups;
+  });
+  // Issue order: a batch destaged in (parity disk, parity page) order walks
+  // each spindle sequentially instead of hopping between rotations.
   const RaidLayout& layout = raid_.layout();
   const bool has_parity = layout.geometry().parity_disks() > 0;
-  std::sort(cands.begin(), cands.end(), [&](GroupId a, GroupId b) {
+  std::sort(batch.begin(), batch.end(), [&](GroupId a, GroupId b) {
     if (has_parity) {
       const DiskAddr pa = layout.parity_addr(a);
       const DiskAddr pb = layout.parity_addr(b);
@@ -1343,9 +1352,8 @@ std::vector<GroupId> KddCache::destage_claim(std::size_t max_groups) {
     }
     return a < b;
   });
-  if (cands.size() > max_groups) cands.resize(max_groups);
-  for (const GroupId g : cands) claimed_groups_.insert(g);
-  return cands;
+  for (const GroupId g : batch) claimed_groups_.insert(g);
+  return batch;
 }
 
 void KddCache::destage_abandon(std::span<const GroupId> groups) {
@@ -1637,7 +1645,6 @@ std::uint64_t KddCache::handle_ssd_failure() {
   nvram_->metadata.drain();
   nvram_->log_head = nvram_->log_tail = 0;
   dirty_groups_.clear();
-  stale_since_.clear();
   old_pages_ = dez_pages_ = 0;
   dez_space_.clear();
   refresh_dez_gauges();
@@ -1724,10 +1731,10 @@ void KddCache::check_invariants() const {
   // RAID layer are exactly the groups with pending deltas.
   KDD_CHECK(group_old.size() == dirty_groups_.size());
   for (const auto& [g, n] : group_old) {
-    const auto it = dirty_groups_.find(g);
-    KDD_CHECK(it != dirty_groups_.end() && it->second == n);
+    KDD_CHECK(dirty_groups_.old_pages(g) == n);
     KDD_CHECK(raid_.group_stale(g));
   }
+  dirty_groups_.check_invariants();
   KDD_CHECK(raid_.stale_group_count() == dirty_groups_.size());
 }
 
@@ -1753,7 +1760,9 @@ void KddCache::recover() {
   // 2. Overlay the NVRAM metadata buffer (newer than anything in the log).
   for (const MetadataEntry& e : nvram_->metadata.entries()) entries.push_back(e);
 
-  // Later entries override earlier ones per slot.
+  // Later entries override earlier ones per slot. Write recency is not
+  // persisted: rebuilt groups join the dirty-group table in this census
+  // order, colder than every group written after recovery.
   std::unordered_map<std::uint32_t, MetadataEntry> latest;
   for (const MetadataEntry& e : entries) latest[e.daz_idx] = e;
 

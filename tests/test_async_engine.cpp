@@ -8,6 +8,7 @@
 // engine workers, completions racing flush barriers, a disk failure landing
 // mid-flight).
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -70,7 +71,9 @@ TEST(SimCompletionQueue, SameDueTimeCompletesInSubmissionOrder) {
   }
   cq.drain();
   ASSERT_EQ(order.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], i);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<int>(i));
+  }
 }
 
 TEST(SimCompletionQueue, CompletionMayScheduleFurtherIo) {
@@ -447,14 +450,20 @@ struct OnlineAsyncRig {
       : array(engine_geo()), ssd(EngineRig::ssd_cfg()), nvram(kPageSize, 255),
         engine(&array, slow_rebuild()),
         kdd(EngineRig::cache_cfg(), &array, &ssd, &nvram),
-        cache(&kdd, &array.layout(), std::chrono::milliseconds(2)) {
-    kdd.bind_rebuild_engine(&engine);
+        cache(bound_to(kdd, engine), &array.layout(), std::chrono::milliseconds(2)) {
     AsyncEngineOptions opts;
     opts.workers = 2;
     opts.shard_queue_depth = 32;
     opts.high_watermark = 256;
     opts.low_watermark = 128;
     cache.start_async(opts);
+  }
+
+  /// Binds the rebuild engine before the facade is built: the facade starts
+  /// its idle cleaner at once, and that thread reads the binding.
+  static KddCache* bound_to(KddCache& kdd, RebuildEngine& engine) {
+    kdd.bind_rebuild_engine(&engine);
+    return &kdd;
   }
 
   RaidArray array;
@@ -516,23 +525,27 @@ TEST(AsyncEngineStress, SubmittersRacingCompletionsFlushAndDiskFailure) {
       Rng rng(500 + t);
       // Each submitter owns the parity groups congruent to its id, so the
       // per-group order invariant holds without cross-thread coordination.
-      std::vector<Page> slots(8, make_page());
-      std::atomic<unsigned> outstanding{0};
+      constexpr std::size_t kSlots = 8;
+      std::vector<Page> slots(kSlots, make_page());
+      // A buffer is reused only after the completion of the request that
+      // last used it: completions arrive out of order across shards, so a
+      // count of outstanding requests does not say which buffer is free.
+      std::array<std::atomic<bool>, kSlots> busy{};
       for (int i = 0; i < kOpsPerThread; ++i) {
         Lba lba = rng.next_below(span);
         while (rig.array.layout().group_of(lba) % kSubmitters != t) {
           lba = rng.next_below(span);
         }
-        while (outstanding.load(std::memory_order_acquire) >= slots.size()) {
+        const std::size_t slot = static_cast<std::size_t>(i) % kSlots;
+        while (busy[slot].load(std::memory_order_acquire)) {
           std::this_thread::yield();
         }
-        const unsigned slot = static_cast<unsigned>(i) % slots.size();
-        auto cb = [&completions, &outstanding](IoStatus st) {
+        busy[slot].store(true, std::memory_order_relaxed);
+        auto cb = [&completions, &busy, slot](IoStatus st) {
           ASSERT_EQ(st, IoStatus::kOk);
           completions.fetch_add(1, std::memory_order_relaxed);
-          outstanding.fetch_sub(1, std::memory_order_release);
+          busy[slot].store(false, std::memory_order_release);
         };
-        outstanding.fetch_add(1, std::memory_order_relaxed);
         bool ok;
         if (rng.next_bool(0.7)) {
           fill_replay_page(lba, static_cast<std::uint64_t>(i), 7, slots[slot]);
@@ -542,11 +555,11 @@ TEST(AsyncEngineStress, SubmittersRacingCompletionsFlushAndDiskFailure) {
         }
         if (!ok) {
           // Quiesce window (disk failure below): drop and move on.
-          outstanding.fetch_sub(1, std::memory_order_release);
+          busy[slot].store(false, std::memory_order_relaxed);
         }
       }
-      while (outstanding.load(std::memory_order_acquire) != 0) {
-        std::this_thread::yield();
+      for (const std::atomic<bool>& b : busy) {
+        while (b.load(std::memory_order_acquire)) std::this_thread::yield();
       }
     });
   }

@@ -1,20 +1,24 @@
 // Tests for the batched destage pipeline (kdd/destage.hpp): the claim ->
-// prepare -> fold -> commit protocol on KddCache, the disk-layout-ordered
-// batch planner, and the acceptance property of the overhaul — the batched
-// cleaner (inline or driven by the ConcurrentCache cleaner pool) converges
-// to a final array state byte-identical to the same replay through no cache
-// at all on a fig9-style trace.
+// prepare -> fold -> commit protocol on KddCache, the batch planner (the
+// least recently written groups, issued in disk-layout order), and the
+// acceptance property of the overhaul — the batched cleaner (inline or driven
+// by the ConcurrentCache cleaner pool) converges to a final array state
+// byte-identical to the same replay through no cache at all on a fig9-style
+// trace.
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blockdev/ssd_model.hpp"
+#include "cache/nvram.hpp"
 #include "harness/harness.hpp"
 #include "kdd/concurrent.hpp"
 #include "kdd/destage.hpp"
+#include "kdd/dirty_groups.hpp"
 #include "kdd/kdd_cache.hpp"
 #include "policies/nocache.hpp"
 #include "raid/raid_array.hpp"
@@ -129,6 +133,194 @@ TEST(DestageBatch, ClaimHonoursMaxGroups) {
   src.destage_abandon(first);
   src.destage_abandon(second);
   kdd.flush();
+}
+
+/// Disk-layout order of parity groups: (parity disk, parity page).
+bool layout_before(const RaidLayout& layout, GroupId a, GroupId b) {
+  const DiskAddr pa = layout.parity_addr(a);
+  const DiskAddr pb = layout.parity_addr(b);
+  if (pa.disk != pb.disk) return pa.disk < pb.disk;
+  if (pa.page != pb.page) return pa.page < pb.page;
+  return a < b;
+}
+
+/// First LBA (from 0 up) that belongs to parity group `g`.
+Lba first_lba_of(const RaidLayout& layout, GroupId g) {
+  Lba lba = 0;
+  while (layout.group_of(lba) != g) ++lba;
+  return lba;
+}
+
+TEST(DirtyGroupTable, KeepsGroupsInLastWriteOrder) {
+  DirtyGroupTable t;
+  t.add_page(7, 10);
+  t.add_page(3, 11);
+  t.add_page(7, 12);  // a second old page: neither reordered nor restamped
+  t.add_page(5, 13);
+  t.touch(7);  // a delta staged for group 7: now the hottest
+  t.check_invariants();
+  std::vector<GroupId> order;
+  t.visit_coldest_first([&](GroupId g) {
+    order.push_back(g);
+    return true;
+  });
+  EXPECT_EQ(order, (std::vector<GroupId>{3, 5, 7}));
+  EXPECT_EQ(t.old_pages(7), 2u);
+  EXPECT_EQ(t.old_pages(4), 0u);
+
+  std::uint64_t since = 0;
+  EXPECT_FALSE(t.remove_page(7, &since));  // one old page left
+  EXPECT_TRUE(t.remove_page(3, &since));   // the cold end leaves the table
+  EXPECT_EQ(since, 11u);
+  EXPECT_TRUE(t.remove_page(7, &since));
+  EXPECT_EQ(since, 10u);  // stale since its first old page
+  t.check_invariants();
+  order.clear();
+  t.visit_coldest_first([&](GroupId g) {
+    order.push_back(g);
+    return true;
+  });
+  EXPECT_EQ(order, (std::vector<GroupId>{5}));
+  t.clear();
+  EXPECT_TRUE(t.empty());
+  t.check_invariants();
+}
+
+TEST(DestageBatch, ClaimTakesLeastRecentlyWrittenGroupsInLayoutOrder) {
+  const RaidGeometry geo = small_geo();
+  RaidArray array(geo);
+  SsdConfig scfg;
+  scfg.logical_pages = 256;
+  SsdModel ssd(scfg);
+  KddCache kdd(manual_config(), &array, &ssd);
+  const RaidLayout& layout = array.layout();
+  const auto before = [&](GroupId a, GroupId b) { return layout_before(layout, a, b); };
+
+  // Eight groups dirtied in this order; then the lowest-addressed one, which
+  // a heat-blind claim would take first, is written again and so is hottest.
+  std::vector<GroupId> by_recency = dirty_groups(kdd, layout, 8);
+  const GroupId lowest = *std::min_element(by_recency.begin(), by_recency.end(), before);
+  const Lba hot = first_lba_of(layout, lowest);
+  ASSERT_EQ(kdd.write(hot, versioned_page(hot, 1000)), IoStatus::kOk);
+  ASSERT_EQ(kdd.old_pages(), 8u);
+  std::erase(by_recency, lowest);
+  by_recency.push_back(lowest);
+
+  constexpr std::size_t kTake = 3;
+  DestageSource& src = kdd;
+  const std::vector<GroupId> claimed = src.destage_claim(kTake);
+  // The three least recently written groups, issued in disk-layout order.
+  std::vector<GroupId> expected(by_recency.begin(), by_recency.begin() + kTake);
+  std::sort(expected.begin(), expected.end(), before);
+  EXPECT_EQ(claimed, expected);
+  EXPECT_EQ(std::count(claimed.begin(), claimed.end(), lowest), 0);
+
+  src.destage_abandon(claimed);
+  kdd.flush();
+  kdd.check_invariants();
+  EXPECT_TRUE(array.scrub().empty());
+}
+
+TEST(DestageBatch, InlineCleanerLeavesAHotGroupDirtyWhileColderGroupsRemain) {
+  const RaidGeometry geo = small_geo();
+  RaidArray array(geo);
+  SsdConfig scfg;
+  scfg.logical_pages = 256;
+  SsdModel ssd(scfg);
+  PolicyConfig cfg = manual_config();
+  cfg.clean_high_watermark = 0.25;  // maybe_clean runs inline from here on
+  cfg.clean_low_watermark = 0.10;
+  KddCache kdd(cfg, &array, &ssd);
+  const RaidLayout& layout = array.layout();
+
+  // The hot group is the lowest-addressed one in the whole array, so a
+  // heat-blind claim would pick it in every cleaning pass.
+  const Lba span = array.data_pages();
+  GroupId hot_group = layout.group_of(0);
+  for (Lba lba = 1; lba < span; ++lba) {
+    if (layout_before(layout, layout.group_of(lba), hot_group)) {
+      hot_group = layout.group_of(lba);
+    }
+  }
+  const Lba hot = first_lba_of(layout, hot_group);
+
+  std::map<Lba, std::uint64_t> versions;
+  const auto write = [&](Lba lba) {
+    const std::uint64_t v = ++versions[lba];
+    ASSERT_EQ(kdd.write(lba, versioned_page(lba, v)), IoStatus::kOk) << "lba " << lba;
+  };
+  write(hot);
+  write(hot);  // miss, then hit: the hot group is dirty from here on
+  ASSERT_TRUE(array.group_stale(hot_group));
+
+  // A cold stream dirties one group after another (a miss then a hit per
+  // LBA) while the hot LBA is rewritten every third request.
+  std::size_t requests = 0;
+  for (Lba lba = 0; lba < span && requests < 1500; ++lba) {
+    if (layout.group_of(lba) == hot_group) continue;
+    for (int i = 0; i < 2; ++i) {
+      write(lba);
+      if (++requests % 2 == 0) write(hot);
+      ASSERT_TRUE(array.group_stale(hot_group))
+          << "hot group destaged after " << requests << " cold writes";
+    }
+  }
+  EXPECT_GT(kdd.stats().cleanings, 0u);
+  EXPECT_GT(kdd.stats().groups_cleaned, 0u);
+  kdd.check_invariants();
+
+  kdd.flush();
+  EXPECT_TRUE(array.scrub().empty());
+  Page buf = make_page();
+  for (const auto& [lba, v] : versions) {
+    ASSERT_EQ(kdd.read(lba, buf), IoStatus::kOk) << "lba " << lba;
+    EXPECT_EQ(buf, versioned_page(lba, v)) << "lba " << lba;
+  }
+}
+
+TEST(DestageBatch, RecoveredGroupsAreColderThanEveryLaterWrite) {
+  const RaidGeometry geo = small_geo();
+  RaidArray array(geo);
+  SsdConfig scfg;
+  scfg.logical_pages = 256;
+  SsdModel ssd(scfg);
+  const PolicyConfig cfg = manual_config();
+  NvramState nvram(cfg.staging_buffer_bytes, cfg.metadata_buffer_entries);
+  const RaidLayout& layout = array.layout();
+  const auto before = [&](GroupId a, GroupId b) { return layout_before(layout, a, b); };
+
+  // Five groups; the lowest-addressed one is dirtied only after the cut.
+  std::vector<GroupId> groups;
+  for (Lba lba = 0; groups.size() < 5; ++lba) {
+    const GroupId g = layout.group_of(lba);
+    if (std::find(groups.begin(), groups.end(), g) == groups.end()) groups.push_back(g);
+  }
+  const GroupId late = *std::min_element(groups.begin(), groups.end(), before);
+  std::erase(groups, late);
+  std::uint64_t version = 0;
+  const auto dirty = [&](KddCache& kdd, GroupId g) {
+    const Lba lba = first_lba_of(layout, g);
+    ASSERT_EQ(kdd.write(lba, versioned_page(lba, ++version)), IoStatus::kOk);
+    ASSERT_EQ(kdd.write(lba, versioned_page(lba, ++version)), IoStatus::kOk);
+  };
+  {
+    KddCache kdd(cfg, &array, &ssd, &nvram);
+    for (const GroupId g : groups) dirty(kdd, g);
+  }  // power cut: DRAM state, recency included, is lost without a flush
+
+  KddCache kdd(cfg, &array, &ssd, &nvram, /*recover=*/true);
+  ASSERT_EQ(kdd.stale_groups(), groups.size());
+  dirty(kdd, late);
+  kdd.check_invariants();
+
+  DestageSource& src = kdd;
+  const std::vector<GroupId> claimed = src.destage_claim(groups.size());
+  std::sort(groups.begin(), groups.end(), before);
+  EXPECT_EQ(claimed, groups);  // every recovered group before the later one
+
+  src.destage_abandon(claimed);
+  kdd.flush();
+  EXPECT_TRUE(array.scrub().empty());
 }
 
 TEST(DestageBatch, ManualPipelineCleansClaimedGroups) {
