@@ -109,6 +109,7 @@ void validate_prometheus_file(const std::string& dir, const std::string& file,
   std::set<std::string> type_families;   // families with a # TYPE line
   std::set<std::string> help_families;   // families with a # HELP line
   std::set<std::string> value_families;  // families with at least one sample
+  std::map<std::string, double> values;  // unlabelled samples by name
   for (const std::string& line : split_lines(body)) {
     if (line.empty()) continue;
     if (line.rfind("# TYPE ", 0) == 0) {
@@ -138,10 +139,11 @@ void validate_prometheus_file(const std::string& dir, const std::string& file,
     const std::string name = line.substr(0, sp);
     const std::string value = line.substr(sp + 1);
     char* end = nullptr;
-    (void)std::strtod(value.c_str(), &end);
+    const double v = std::strtod(value.c_str(), &end);
     check(end != nullptr && *end == '\0',
           file + ": non-numeric value in: " + line);
     const std::size_t brace = name.find('{');
+    if (brace == std::string::npos) values[name] = v;
     std::string family = brace == std::string::npos ? name : name.substr(0, brace);
     if (brace != std::string::npos) {
       check(name.back() == '}',
@@ -203,6 +205,16 @@ void validate_prometheus_file(const std::string& dir, const std::string& file,
       check(type_families.count(family) > 0,
             file + ": missing family " + family);
     }
+    // Write misses by parity path. The replay's Fin1 write misses find
+    // resident row-mates often enough that some must reconstruct-write.
+    for (const char* family :
+         {"kdd_write_miss_rmw_total", "kdd_write_miss_rcw_total"}) {
+      check(type_families.count(family) > 0,
+            file + ": missing family " + family);
+    }
+    check(values["kdd_write_miss_rcw_total"] > 0,
+          file + ": kdd_write_miss_rcw_total is 0: no write miss "
+                 "reconstruct-wrote from cached row-mates");
   }
   std::printf("%s: %zu typed families, %zu sampled families\n", file.c_str(),
               type_families.size(), value_families.size());

@@ -1,5 +1,7 @@
 #include "cache/backend.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -467,6 +469,42 @@ IoStatus RaidBackend::write_page(Lba lba, std::span<const std::uint8_t> data,
   return IoStatus::kOk;
 }
 
+void RaidBackend::plan_rcw(GroupId g, Lba lba, std::span<const Page* const> members,
+                           IoPlan* plan) {
+  // [read the unsupplied row-mates, write data] -> [write P(, write Q)]
+  const std::uint32_t target = layout_.index_in_group(lba);
+  const std::size_t rd = plan->next_phase();
+  for (std::uint32_t k = 0; k < members.size(); ++k) {
+    if (k == target || members[k] != nullptr) continue;
+    const DiskAddr m = layout_.map(layout_.group_member(g, k));
+    plan->add(rd, {DeviceOp::Target::kHdd, m.disk, m.page, IoKind::kRead});
+  }
+  const DiskAddr a = layout_.map(lba);
+  const DiskAddr pa = layout_.parity_addr(g);
+  plan->add(rd, {DeviceOp::Target::kHdd, a.disk, a.page, IoKind::kWrite});
+  plan->add(rd + 1, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kWrite});
+  if (layout_.geometry().level == RaidLevel::kRaid6) {
+    const DiskAddr qa = layout_.q_parity_addr(g);
+    plan->add(rd + 1, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kWrite});
+  }
+}
+
+IoStatus RaidBackend::write_page(Lba lba, std::span<const std::uint8_t> data,
+                                 std::span<const Page* const> members, IoPlan* plan) {
+  const RaidGeometry& geo = layout_.geometry();
+  const std::uint32_t supplied = supplied_row_mates(layout_, lba, members);
+  if (!geo.prefers_reconstruct_write(supplied)) return write_page(lba, data, plan);
+  const obs::SpanScope span(obs::Stage::kRmw);
+  disk_reads_ += geo.data_disks() - 1 - supplied;
+  disk_writes_ += 1 + geo.parity_disks();
+  if (array_) {
+    KDD_CHECK(!data.empty());
+    return array_->write_page(lba, data, members, plan);
+  }
+  if (plan) plan_rcw(layout_.group_of(lba), lba, members, plan);
+  return IoStatus::kOk;
+}
+
 IoStatus RaidBackend::write_group(GroupId g, std::span<const Page> data, IoPlan* plan) {
   const RaidGeometry& geo = layout_.geometry();
   KDD_CHECK(data.size() == geo.data_disks());
@@ -560,15 +598,22 @@ IoStatus RaidBackend::update_parity_reconstruct_cached(
   const obs::SpanScope span(obs::Stage::kParity);
   const std::uint32_t parity = layout_.geometry().parity_disks();
   KDD_CHECK(parity > 0);
+  KDD_CHECK(current_data.size() == layout_.geometry().data_disks());
+  const auto from_disk = static_cast<std::uint64_t>(
+      std::count(current_data.begin(), current_data.end(), nullptr));
+  disk_reads_ += from_disk;
   disk_writes_ += parity;
-  if (array_) {
-    KDD_CHECK(current_data.size() == layout_.geometry().data_disks());
-    return array_->update_parity_reconstruct(g, current_data, plan);
-  }
+  if (array_) return array_->update_parity_reconstruct(g, current_data, plan);
   counter_stale_.erase(g);
   if (plan) {
+    const std::size_t rd = plan->next_phase();
+    for (std::uint32_t k = 0; k < current_data.size(); ++k) {
+      if (current_data[k] != nullptr) continue;
+      const DiskAddr m = layout_.map(layout_.group_member(g, k));
+      plan->add(rd, {DeviceOp::Target::kHdd, m.disk, m.page, IoKind::kRead});
+    }
     const DiskAddr pa = layout_.parity_addr(g);
-    const std::size_t ph = plan->next_phase();
+    const std::size_t ph = from_disk > 0 ? rd + 1 : rd;
     plan->add(ph, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kWrite});
     if (layout_.geometry().level == RaidLevel::kRaid6) {
       const DiskAddr qa = layout_.q_parity_addr(g);

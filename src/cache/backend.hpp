@@ -151,6 +151,14 @@ class RaidBackend {
 
   IoStatus read_page(Lba lba, std::span<std::uint8_t> out, IoPlan* plan);
   IoStatus write_page(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan);
+  /// write_page with the caller's row-mate images (see the RaidArray
+  /// overload): null entries are read from disk, and reconstruct-write is
+  /// taken when that reads fewer pages than RMW. Counter mode makes the same
+  /// choice from which entries are non-null (their bytes are never read) and
+  /// records the same plan; both modes count the disk reads of the path
+  /// taken.
+  IoStatus write_page(Lba lba, std::span<const std::uint8_t> data,
+                      std::span<const Page* const> members, IoPlan* plan);
   IoStatus write_page_nopar(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan);
 
   /// Full-stripe write: all data members of group `g` at once, parity
@@ -171,9 +179,9 @@ class RaidBackend {
                                    IoPlan* plan,
                                    std::vector<GroupId>* failed = nullptr);
 
-  /// Deferred parity update, reconstruct-write flavour: all data members are
-  /// cache-resident, so no disk reads are needed. `current_data` may be empty
-  /// in counter mode.
+  /// Deferred parity update, reconstruct-write flavour: one entry per data
+  /// member, the member's current contents, or null to read it from disk
+  /// (each such read is counted). Counter mode never dereferences an entry.
   IoStatus update_parity_reconstruct_cached(GroupId g,
                                             std::span<const Page* const> current_data,
                                             IoPlan* plan);
@@ -186,6 +194,8 @@ class RaidBackend {
 
  private:
   void plan_rmw(GroupId g, Lba lba, IoPlan* plan);
+  void plan_rcw(GroupId g, Lba lba, std::span<const Page* const> members,
+                IoPlan* plan);
 
   RaidLayout layout_;
   RaidArray* array_ = nullptr;

@@ -165,6 +165,7 @@ TortureReport TortureRunner::run_case(std::uint64_t seed, std::uint64_t cut_afte
 
   rep.requests_completed = run_workload(rig, seed, config_.requests, &rep);
   rep.cut_fired = !rig.rail->on();
+  rep.write_miss_rcw = rig.kdd->write_miss_rcw();
   rep.cache_faults = rig.cache_faults()->fault_counters();
   rep.domain_power_cut_rejects = rep.cache_faults.power_cut_rejects;
   for (std::uint32_t d = 0; d < config_.geo.num_disks; ++d) {

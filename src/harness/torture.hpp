@@ -70,6 +70,9 @@ struct TortureReport {
   bool in_flight_read_back_new = false;  ///< it recovered as the new version
 
   std::size_t pages_verified = 0;
+  /// Write misses of the pre-crash run that reconstruct-wrote from cached
+  /// row-mates (the cut can land inside one).
+  std::uint64_t write_miss_rcw = 0;
   FaultCounters cache_faults;  ///< cache-SSD decorator counters at cut time
   /// Ops rejected while the rail was down, summed over the whole power domain
   /// (cache SSD + every RAID disk): proves the cut landed mid-workload.

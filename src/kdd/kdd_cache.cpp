@@ -29,6 +29,8 @@ struct KddMetrics {
   obs::Counter recoveries;
   obs::Counter degraded_cache_hits;   ///< lost pages served from cache
   obs::Counter degraded_delta_folds;  ///< fold-then-retry degraded recoveries
+  obs::Counter write_miss_rmw;  ///< write misses by parity path
+  obs::Counter write_miss_rcw;
   obs::Histogram destage_batch_groups;  ///< groups per committed destage batch
   // Delta zone (kdd_dez_*): occupancy/fragmentation gauges plus the
   // boundary-adaptation activity counter.
@@ -51,6 +53,8 @@ KddMetrics& kdd_metrics() {
         obs::Counter(&reg, "kdd_degraded_cache_hits_total");
     km->degraded_delta_folds =
         obs::Counter(&reg, "kdd_degraded_delta_folds_total");
+    km->write_miss_rmw = obs::Counter(&reg, "kdd_write_miss_rmw_total");
+    km->write_miss_rcw = obs::Counter(&reg, "kdd_write_miss_rcw_total");
     km->destage_batch_groups =
         obs::Histogram(&reg, "kdd_destage_batch_groups");
     km->boundary_moves = obs::Counter(&reg, "kdd_dez_boundary_moves_total");
@@ -759,8 +763,9 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
 }
 
 IoStatus KddCache::degraded_write_page(Lba lba, std::span<const std::uint8_t> data,
-                                       IoPlan* plan) {
-  IoStatus st = raid_.write_page(lba, data, plan);
+                                       IoPlan* plan,
+                                       std::span<const Page* const> members) {
+  IoStatus st = raid_.write_page(lba, data, members, plan);
   if (st != IoStatus::kOk) {
     // The array refuses to launder a lost member of a stale group through
     // reconstruction. Fold the group's pending deltas — parity becomes
@@ -803,23 +808,30 @@ IoStatus KddCache::write_inner(Lba lba, std::span<const std::uint8_t> data,
   }
 
   if (idx == CacheSets::kNone) {
-    // Write miss: conventional parity update (degraded-capable: folds the
-    // group's deltas and retries when the array refuses), then admit. The
-    // RMW and the write-alloc fill overlap; the mapping entry that claims
-    // the array write as clean waits for both.
+    // Write miss: a parity update from the array (degraded-capable: folds
+    // the group's deltas and retries when the array refuses), then admit.
+    // When enough row-mates are cache-resident, their DAZ pages stand in for
+    // disk reads and the array reconstruct-writes. The row-mate reads, the
+    // array write and the write-alloc fill overlap; the mapping entry that
+    // claims the array write as clean waits for all of them.
     ++stats_.write_misses;
     obs::health_cache_miss();
     note_boundary_miss(lba);
-    PlanFork<2> fork(plan);
+    WriteFork fork(plan);
+    ScratchPages images(0);
+    std::vector<const Page*> members;
+    const bool rcw = read_row_mates(lba, images, members, fork.lane(kSsdReadLane));
+    ++(rcw ? write_miss_rcw_ : write_miss_rmw_);
+    (rcw ? kdd_metrics().write_miss_rcw : kdd_metrics().write_miss_rmw).inc();
     const std::uint64_t folds = degraded_delta_folds_;
-    const IoStatus st = degraded_write_page(lba, data, fork.lane(0));
+    const IoStatus st = degraded_write_page(lba, data, fork.lane(kArrayLane), members);
     if (st != IoStatus::kOk) return st;
     if (degraded_delta_folds_ != folds) fork.join();  // fill waits for the fold
     if (!admit(lba)) return IoStatus::kOk;
     const std::uint32_t slot = alloc_daz_slot(set, plan);
     if (slot == CacheSets::kNone) return IoStatus::kOk;
-    if (ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data, fork.lane(1)) !=
-        IoStatus::kOk) {
+    if (ssd_.write_data(slot, SsdWriteKind::kWriteAlloc, data,
+                        fork.lane(kSsdWriteLane)) != IoStatus::kOk) {
       note_media_fallback("write-alloc admission write failed");
       ssd_.trim_data(slot);
       sets_.reset_slot(slot);
@@ -834,14 +846,58 @@ IoStatus KddCache::write_inner(Lba lba, std::span<const std::uint8_t> data,
 
   ++stats_.write_hits;
   obs::health_cache_hit();
-  WriteHitFork fork(plan);
-  DeltaInfo info = compute_delta(idx, data, fork.lane(kBaseLane));
+  WriteFork fork(plan);
+  DeltaInfo info = compute_delta(idx, data, fork.lane(kSsdReadLane));
   return write_hit_locked(lba, data, set, idx, std::move(info), fork);
+}
+
+bool KddCache::read_row_mates(Lba lba, ScratchPages& images,
+                              std::vector<const Page*>& members, IoPlan* lane) {
+  const RaidLayout& layout = raid_.layout();
+  const RaidGeometry& geo = layout.geometry();
+  const GroupId g = layout.group_of(lba);
+  const std::uint32_t target = layout.index_in_group(lba);
+  const std::uint32_t set = set_for(lba);
+  const std::uint32_t dd = geo.data_disks();
+  std::uint32_t resident = 0;
+  for (std::uint32_t k = 0; k < dd; ++k) {
+    if (k == target) continue;
+    if (sets_.find_data(set, layout.group_member(g, k)) != CacheSets::kNone) ++resident;
+  }
+  if (!geo.prefers_reconstruct_write(resident)) return false;
+  // A down member sends the write down the array's general path, and a
+  // claimed group's parity is about to be rewritten from the destage's own
+  // snapshot: both keep the conventional write.
+  if (claimed_groups_.contains(g)) return false;
+  if (raid_.real() && raid_.array()->group_has_failed_member(g)) return false;
+
+  acquire_scratch_pages(images.vec(), dd);
+  members.assign(dd, nullptr);
+  IoPlan read;  // one row-mate read, merged beside the others
+  for (std::uint32_t k = 0; k < dd; ++k) {
+    if (k == target) continue;
+    const std::uint32_t slot = sets_.find_data(set, layout.group_member(g, k));
+    if (slot == CacheSets::kNone) continue;
+    const std::span<std::uint8_t> out =
+        ssd_.real() ? std::span<std::uint8_t>(images[k]) : std::span<std::uint8_t>{};
+    const IoStatus st = ssd_.read_data(slot, out, lane ? &read : nullptr);
+    if (lane) {
+      lane->merge_parallel(read);
+      read.clear();
+    }
+    if (st != IoStatus::kOk) {
+      note_media_fallback("row-mate daz unreadable on write miss");
+      members.clear();
+      return false;
+    }
+    members[k] = &images[k];  // counter mode: a placeholder, never read
+  }
+  return true;
 }
 
 IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
                                     std::uint32_t set, std::uint32_t idx,
-                                    DeltaInfo info, WriteHitFork& fork) {
+                                    DeltaInfo info, WriteFork& fork) {
   IoPlan* const plan = fork.parent();
   CacheSets::CacheSlot& slot = sets_.slot(idx);
   if (info.ok) {
@@ -921,7 +977,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     }
     sets_.set_state(idx, PageState::kOld);
     note_old_transition(idx);
-    stage_delta(lba, idx, std::move(info), fork.lane(kCommitLane));
+    stage_delta(lba, idx, std::move(info), fork.lane(kSsdWriteLane));
     fork.join();
     maybe_clean(plan);
     return IoStatus::kOk;
@@ -1003,7 +1059,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     return IoStatus::kOk;
   }
   invalidate_delta(idx, plan);
-  stage_delta(lba, idx, std::move(info), fork.lane(kCommitLane));
+  stage_delta(lba, idx, std::move(info), fork.lane(kSsdWriteLane));
   fork.join();
   maybe_clean(plan);
   return IoStatus::kOk;
@@ -1060,8 +1116,9 @@ IoStatus KddCache::write_prepared(Lba lba, std::span<const std::uint8_t> data,
   DeltaInfo info;
   info.blob = std::move(delta.blob);
   info.packed = delta.packed;
-  // write_snapshot read the base with no plan, so the base lane stays empty.
-  WriteHitFork fork(plan);
+  // write_snapshot read the base with no plan, so the SSD-read lane stays
+  // empty.
+  WriteFork fork(plan);
   return write_hit_locked(lba, data, set, idx, std::move(info), fork);
 }
 
@@ -1490,9 +1547,11 @@ void KddCache::destage_commit(DestageUnit& u, IoPlan* plan) {
     });
     if (gw.pages.empty()) continue;  // nothing left that we captured
     if (gw.reconstruct) {
+      // A null entry makes the array read that member from disk; counter
+      // mode's (byte-less) images are never read.
       std::vector<const Page*> ptrs(gw.members.size(), nullptr);
       for (std::size_t k = 0; k < gw.members.size(); ++k) {
-        if (real && gw.members[k].ok) ptrs[k] = &gw.members[k].image;
+        if (gw.members[k].ok) ptrs[k] = &gw.members[k].image;
       }
       const IoStatus st =
           raid_.update_parity_reconstruct_cached(gw.group, ptrs, plan);

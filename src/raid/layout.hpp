@@ -35,6 +35,15 @@ struct RaidGeometry {
   }
   std::uint32_t data_disks() const { return num_disks - parity_disks(); }
 
+  /// Small-write choice by disk reads: reconstruct-write reads the row-mates
+  /// the caller did not `supply`, read-modify-write the old data plus every
+  /// parity. Reconstruct-write only when there is parity to compute, the
+  /// caller supplies a row-mate, and it reads strictly less; ties keep RMW.
+  bool prefers_reconstruct_write(std::uint32_t supplied) const {
+    const std::uint32_t rcw_reads = data_disks() - 1 - supplied;
+    return parity_disks() > 0 && supplied > 0 && rcw_reads < 1 + parity_disks();
+  }
+
   /// Usable array capacity in pages (whole stripe rows only).
   std::uint64_t data_pages() const {
     const std::uint64_t rows = disk_pages / chunk_pages;

@@ -56,6 +56,18 @@ bool page_fault(IoStatus st) {
 
 }  // namespace
 
+std::uint32_t supplied_row_mates(const RaidLayout& layout, Lba lba,
+                                 std::span<const Page* const> members) {
+  if (members.empty()) return 0;
+  KDD_CHECK(members.size() == layout.geometry().data_disks());
+  const std::uint32_t target = layout.index_in_group(lba);
+  std::uint32_t supplied = 0;
+  for (std::uint32_t k = 0; k < members.size(); ++k) {
+    if (k != target && members[k] != nullptr) ++supplied;
+  }
+  return supplied;
+}
+
 RaidArray::RaidArray(const RaidGeometry& geo) : layout_(geo) {
   media_.reserve(geo.num_disks);
   disks_.reserve(geo.num_disks);
@@ -265,71 +277,145 @@ void RaidArray::compute_parity(std::span<const Page> data, Page& p, Page* q) con
 
 IoStatus RaidArray::write_page(Lba lba, std::span<const std::uint8_t> data,
                                IoPlan* plan) {
+  return write_page(lba, data, {}, plan);
+}
+
+IoStatus RaidArray::write_page(Lba lba, std::span<const std::uint8_t> data,
+                               std::span<const Page* const> members, IoPlan* plan) {
   const RaidGeometry& geo = layout_.geometry();
-  const DiskAddr addr = layout_.map(lba);
   if (geo.level == RaidLevel::kRaid0) {
+    const DiskAddr addr = layout_.map(lba);
     if (plan) plan->add(plan->next_phase(), {DeviceOp::Target::kHdd, addr.disk, addr.page, IoKind::kWrite});
     return dev_write(addr.disk, addr.page, data, plan);
   }
-  const GroupId g = layout_.group_of(lba);
-  if (group_has_failed_member(g)) return write_page_general(lba, data, plan);
+  if (group_has_failed_member(layout_.group_of(lba))) {
+    return write_page_general(lba, data, plan);
+  }
+  if (geo.prefers_reconstruct_write(supplied_row_mates(layout_, lba, members))) {
+    return write_page_rcw(lba, data, members, plan);
+  }
+  return write_page_rmw(lba, data, plan);
+}
 
-  // Read-modify-write: [read old data, read parity] -> [write data, write parity].
-  // RMW buffers are reused via the thread-local arena: the steady-state
-  // small-write path performs no allocations.
+IoStatus RaidArray::write_page_rmw(Lba lba, std::span<const std::uint8_t> data,
+                                   IoPlan* plan) {
+  // Read-modify-write: [read old data, read P(, read Q)] ->
+  // [write data, write P(, write Q)]. RMW buffers are reused via the
+  // thread-local arena: the steady-state small-write path performs no
+  // allocations.
+  const RaidGeometry& geo = layout_.geometry();
+  const bool raid6 = geo.level == RaidLevel::kRaid6;
+  const DiskAddr addr = layout_.map(lba);
+  const GroupId g = layout_.group_of(lba);
   const DiskAddr pa = layout_.parity_addr(g);
+  const DiskAddr qa = raid6 ? layout_.q_parity_addr(g) : DiskAddr{};
   ScratchPage old_data_sp;
   ScratchPage parity_sp;
+  ScratchPage q_sp;
   Page& old_data = *old_data_sp;
   Page& parity = *parity_sp;
-  const std::size_t read_phase = plan ? plan->next_phase() : 0;
+  Page& q = *q_sp;
   {
-    // A page-level fault on either RMW read makes the delta uncomputable; the
-    // reconstruct-write path recomputes parity from the full group instead
-    // (and the data write below heals the faulty page). Only safe when the
-    // group is not stale: write_page_general clears staleness.
+    // Every read lands before the first write, so a failed read leaves the
+    // group exactly as it was. A page-level fault on any of them makes the
+    // delta uncomputable; the general path recomputes parity from the full
+    // group instead (and its data write heals the faulty page). Only safe
+    // when the group is not stale: write_page_general clears staleness.
+    const auto read_failed = [&](IoStatus st) {
+      if (page_fault(st) && !group_stale(g)) return write_page_general(lba, data, plan);
+      return IoStatus::kFailed;
+    };
     const IoStatus rd = dev_read(addr.disk, addr.page, old_data, plan);
-    if (rd != IoStatus::kOk) {
-      if (page_fault(rd) && !group_stale(g)) return write_page_general(lba, data, plan);
-      return IoStatus::kFailed;
-    }
+    if (rd != IoStatus::kOk) return read_failed(rd);
     const IoStatus rp = dev_read(pa.disk, pa.page, parity, plan);
-    if (rp != IoStatus::kOk) {
-      if (page_fault(rp) && !group_stale(g)) return write_page_general(lba, data, plan);
-      return IoStatus::kFailed;
+    if (rp != IoStatus::kOk) return read_failed(rp);
+    if (raid6) {
+      const IoStatus rq = dev_read(qa.disk, qa.page, q, plan);
+      if (rq != IoStatus::kOk) return read_failed(rq);
     }
   }
+  const std::size_t read_phase = plan ? plan->next_phase() : 0;
+  const std::size_t write_phase = read_phase + 1;
   if (plan) {
     plan->add(read_phase, {DeviceOp::Target::kHdd, addr.disk, addr.page, IoKind::kRead});
     plan->add(read_phase, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kRead});
+    if (raid6) plan->add(read_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kRead});
   }
   ScratchPage delta_sp;
   Page& delta = *delta_sp;
   xor_pages3(delta, data, old_data);  // fused: no copy-then-xor
   xor_into(parity, delta);
+  if (raid6) gf256::mul_acc(q, gf256::exp(layout_.index_in_group(lba)), delta);
 
-  const std::size_t write_phase = plan ? plan->next_phase() : 0;
   if (dev_write(addr.disk, addr.page, data, plan) != IoStatus::kOk) return IoStatus::kFailed;
   if (dev_write(pa.disk, pa.page, parity, plan) != IoStatus::kOk) return IoStatus::kFailed;
   if (plan) {
     plan->add(write_phase, {DeviceOp::Target::kHdd, addr.disk, addr.page, IoKind::kWrite});
     plan->add(write_phase, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kWrite});
   }
-  if (geo.level == RaidLevel::kRaid6) {
-    const DiskAddr qa = layout_.q_parity_addr(g);
-    ScratchPage q_sp;
-    Page& q = *q_sp;
-    const IoStatus rq = dev_read(qa.disk, qa.page, q, plan);
-    if (rq != IoStatus::kOk) {
-      if (page_fault(rq) && !group_stale(g)) return write_page_general(lba, data, plan);
-      return IoStatus::kFailed;
-    }
-    gf256::mul_acc(q, gf256::exp(layout_.index_in_group(lba)), delta);
+  if (raid6) {
     if (dev_write(qa.disk, qa.page, q, plan) != IoStatus::kOk) return IoStatus::kFailed;
-    if (plan) {
-      plan->add(read_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kRead});
-      plan->add(write_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kWrite});
+    if (plan) plan->add(write_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kWrite});
+  }
+  return IoStatus::kOk;
+}
+
+IoStatus RaidArray::write_page_rcw(Lba lba, std::span<const std::uint8_t> data,
+                                   std::span<const Page* const> members,
+                                   IoPlan* plan) {
+  // Reconstruct-write: parity from scratch over the caller's images, the
+  // rest of the row read from disk, and the new data. [read the missing
+  // row-mates, write data] -> [write P(, write Q)].
+  const RaidGeometry& geo = layout_.geometry();
+  const bool raid6 = geo.level == RaidLevel::kRaid6;
+  const std::uint32_t dd = geo.data_disks();
+  const GroupId g = layout_.group_of(lba);
+  const std::uint32_t target = layout_.index_in_group(lba);
+  ScratchPage p_sp(ScratchPage::kZeroed);
+  ScratchPage q_sp(raid6 ? ScratchPage::kZeroed : ScratchPage::kUninit);
+  ScratchPage buf_sp;
+  Page& p = *p_sp;
+  Page& q = *q_sp;
+  Page& buf = *buf_sp;
+  const auto fold = [&](std::uint32_t k, std::span<const std::uint8_t> member) {
+    xor_into(p, member);
+    if (raid6) gf256::mul_acc(q, gf256::exp(k), member);
+  };
+  for (std::uint32_t k = 0; k < dd; ++k) {
+    if (k == target) {
+      fold(k, data);
+    } else if (members[k] != nullptr) {
+      fold(k, *members[k]);
+    } else {
+      const DiskAddr a = layout_.map(layout_.group_member(g, k));
+      const IoStatus st = dev_read(a.disk, a.page, buf, plan);
+      if (st != IoStatus::kOk) {
+        // Nothing is written yet, and RMW never reads this row-mate.
+        if (page_fault(st)) return write_page_rmw(lba, data, plan);
+        return IoStatus::kFailed;
+      }
+      fold(k, buf);
     }
+  }
+  const std::size_t read_phase = plan ? plan->next_phase() : 0;
+  const std::size_t write_phase = read_phase + 1;
+  if (plan) {
+    for (std::uint32_t k = 0; k < dd; ++k) {
+      if (k == target || members[k] != nullptr) continue;
+      const DiskAddr a = layout_.map(layout_.group_member(g, k));
+      plan->add(read_phase, {DeviceOp::Target::kHdd, a.disk, a.page, IoKind::kRead});
+    }
+  }
+  const DiskAddr addr = layout_.map(lba);
+  if (dev_write(addr.disk, addr.page, data, plan) != IoStatus::kOk) return IoStatus::kFailed;
+  if (plan) plan->add(read_phase, {DeviceOp::Target::kHdd, addr.disk, addr.page, IoKind::kWrite});
+  const DiskAddr pa = layout_.parity_addr(g);
+  if (dev_write(pa.disk, pa.page, p, plan) != IoStatus::kOk) return IoStatus::kFailed;
+  if (plan) plan->add(write_phase, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kWrite});
+  if (raid6) {
+    const DiskAddr qa = layout_.q_parity_addr(g);
+    if (dev_write(qa.disk, qa.page, q, plan) != IoStatus::kOk) return IoStatus::kFailed;
+    if (plan) plan->add(write_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kWrite});
   }
   return IoStatus::kOk;
 }
@@ -463,17 +549,30 @@ IoStatus RaidArray::update_parity_rmw(GroupId g, std::span<const GroupDelta> del
   const RaidGeometry& geo = layout_.geometry();
   KDD_CHECK(geo.level != RaidLevel::kRaid0);
   const DiskAddr pa = layout_.parity_addr(g);
-  const std::size_t read_phase = plan ? plan->next_phase() : 0;
-  std::size_t write_phase = read_phase + 1;
-  if (!member_down(pa.disk, g)) {
-    ScratchPage p_sp;
-    Page& p = *p_sp;
-    // A page fault on the stale parity read is surfaced to the caller
-    // (kMediaError/kCorrupt): an RMW cannot proceed without the old parity,
-    // but a reconstruct-style update (which the caller owns the data for)
-    // still can.
+  const bool p_live = !member_down(pa.disk, g);
+  const bool raid6 = geo.level == RaidLevel::kRaid6;
+  const DiskAddr qa = raid6 ? layout_.q_parity_addr(g) : DiskAddr{};
+  const bool q_live = raid6 && !member_down(qa.disk, g);
+  ScratchPage p_sp;
+  ScratchPage q_sp;
+  Page& p = *p_sp;
+  Page& q = *q_sp;
+  // Both parities are read before either is rewritten, so a failed read
+  // leaves P and Q agreeing with each other. A page fault on a stale parity
+  // read is surfaced to the caller (kMediaError/kCorrupt): an RMW cannot
+  // proceed without the old parity, but a reconstruct-style update (which
+  // the caller owns the data for) still can.
+  if (p_live) {
     const IoStatus rp = dev_read(pa.disk, pa.page, p, plan);
     if (rp != IoStatus::kOk) return rp;
+  }
+  if (q_live) {
+    const IoStatus rq = dev_read(qa.disk, qa.page, q, plan);
+    if (rq != IoStatus::kOk) return rq;
+  }
+  const std::size_t read_phase = plan ? plan->next_phase() : 0;
+  const std::size_t write_phase = read_phase + 1;
+  if (p_live) {
     for (const GroupDelta& d : deltas) xor_into(p, *d.xor_diff);
     if (dev_write(pa.disk, pa.page, p, plan) != IoStatus::kOk) return IoStatus::kFailed;
     if (plan) {
@@ -481,19 +580,12 @@ IoStatus RaidArray::update_parity_rmw(GroupId g, std::span<const GroupDelta> del
       plan->add(write_phase, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kWrite});
     }
   }
-  if (geo.level == RaidLevel::kRaid6) {
-    const DiskAddr qa = layout_.q_parity_addr(g);
-    if (!member_down(qa.disk, g)) {
-      ScratchPage q_sp;
-      Page& q = *q_sp;
-      const IoStatus rq = dev_read(qa.disk, qa.page, q, plan);
-      if (rq != IoStatus::kOk) return rq;
-      for (const GroupDelta& d : deltas) gf256::mul_acc(q, gf256::exp(d.index), *d.xor_diff);
-      if (dev_write(qa.disk, qa.page, q, plan) != IoStatus::kOk) return IoStatus::kFailed;
-      if (plan) {
-        plan->add(read_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kRead});
-        plan->add(write_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kWrite});
-      }
+  if (q_live) {
+    for (const GroupDelta& d : deltas) gf256::mul_acc(q, gf256::exp(d.index), *d.xor_diff);
+    if (dev_write(qa.disk, qa.page, q, plan) != IoStatus::kOk) return IoStatus::kFailed;
+    if (plan) {
+      plan->add(read_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kRead});
+      plan->add(write_phase, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kWrite});
     }
   }
   if (finalize) stale_groups_.erase(g);

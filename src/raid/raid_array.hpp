@@ -36,6 +36,12 @@ struct GroupParityUpdate {
   bool finalize = true;                ///< clear the group's staleness
 };
 
+/// How many of `lba`'s row-mates `members` supplies an image for: the
+/// non-null entries other than `lba`'s own. An empty span supplies none;
+/// otherwise it holds one entry per data member of the group.
+std::uint32_t supplied_row_mates(const RaidLayout& layout, Lba lba,
+                                 std::span<const Page* const> members);
+
 class RaidArray {
  public:
   explicit RaidArray(const RaidGeometry& geo);
@@ -57,6 +63,19 @@ class RaidArray {
   /// Writes one logical page with full parity maintenance (RMW; degraded-safe).
   IoStatus write_page(Lba lba, std::span<const std::uint8_t> data,
                       IoPlan* plan = nullptr);
+
+  /// write_page with the caller's images of the page's row-mates: one entry
+  /// per data member of its group (the written page's own entry is ignored),
+  /// null meaning "read it from disk". Each image must be the version the
+  /// group's parity reflects. Takes reconstruct-write — parity recomputed
+  /// from the images, the disk reads and `data` — when that reads fewer
+  /// pages than RMW (RaidGeometry::prefers_reconstruct_write), else RMW; an
+  /// empty span is plain RMW. The data write needs no read, so the plan
+  /// issues it beside the member reads and only the parity writes wait for
+  /// them. A member read fault falls back to RMW before anything is written.
+  /// The group's stale flag is left exactly as it was.
+  IoStatus write_page(Lba lba, std::span<const std::uint8_t> data,
+                      std::span<const Page* const> members, IoPlan* plan);
 
   /// Full-stripe write: caller supplies all data members of group `g`;
   /// parity is computed without any read.
@@ -128,6 +147,8 @@ class RaidArray {
   bool page_down(Lba lba) const {
     return member_down(layout_.map(lba).disk, layout_.group_of(lba));
   }
+  /// member_down() for any data or parity member of group `g`.
+  bool group_has_failed_member(GroupId g) const;
   /// Any member unavailable anywhere: a failed disk or an in-flight rebuild.
   bool degraded() const { return failed_disk_count() > 0 || rebuild_active(); }
 
@@ -279,8 +300,11 @@ class RaidArray {
   /// Degraded / general write: reads the whole group (reconstructing lost
   /// members), applies the update, rewrites parity and the data page.
   IoStatus write_page_general(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan);
+  /// The two healthy-group small writes behind write_page.
+  IoStatus write_page_rmw(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan);
+  IoStatus write_page_rcw(Lba lba, std::span<const std::uint8_t> data,
+                          std::span<const Page* const> members, IoPlan* plan);
   void compute_parity(std::span<const Page> data, Page& p, Page* q) const;
-  bool group_has_failed_member(GroupId g) const;
   /// Reconstructs one group onto the rebuilding disk. Returns false only when
   /// the step was aborted by a power cut (cursor must not advance).
   bool rebuild_group(GroupId g, IoPlan* plan);

@@ -386,5 +386,67 @@ TEST(RaidBackendTest, PartialRmwKeepsCounterStale) {
   EXPECT_FALSE(raid.group_stale(g));
 }
 
+RaidGeometry backend_geo() {
+  RaidGeometry geo;
+  geo.level = RaidLevel::kRaid5;
+  geo.num_disks = 5;
+  geo.chunk_pages = 4;
+  geo.disk_pages = 64;
+  return geo;
+}
+
+TEST(RaidBackendTest, CounterModeReconstructWriteMirrorsTheArray) {
+  // Counter mode decides from which row-mates are supplied (their bytes are
+  // never read) and records the array's plan: [read the missing row-mate,
+  // write data] -> [write parity].
+  RaidBackend raid(backend_geo());
+  const GroupId g = raid.layout().group_of(9);
+  const std::uint32_t target = raid.layout().index_in_group(9);
+  const Page placeholder;
+  std::vector<const Page*> members(4, nullptr);
+  for (std::uint32_t k = 0, given = 0; k < 4 && given < 2; ++k) {
+    if (k == target) continue;
+    members[k] = &placeholder;
+    ++given;
+  }
+  IoPlan plan;
+  ASSERT_EQ(raid.write_page(9, {}, members, &plan), IoStatus::kOk);
+  EXPECT_EQ(raid.disk_reads(), 1u);
+  EXPECT_EQ(raid.disk_writes(), 2u);
+  ASSERT_EQ(plan.phases().size(), 2u);
+  ASSERT_EQ(plan.phases()[0].size(), 2u);
+  EXPECT_EQ(plan.phases()[0][0].kind, IoKind::kRead);
+  EXPECT_EQ(plan.phases()[0][1].kind, IoKind::kWrite);
+  EXPECT_EQ(plan.phases()[0][1].page, raid.layout().map(9).page);
+  ASSERT_EQ(plan.phases()[1].size(), 1u);
+  EXPECT_EQ(plan.phases()[1][0].device, raid.layout().parity_addr(g).disk);
+  EXPECT_FALSE(raid.group_stale(g));
+
+  // One supplied row-mate ties RMW's two reads: RMW it is.
+  std::vector<const Page*> one(4, nullptr);
+  one[target == 0 ? 1 : 0] = &placeholder;
+  plan.clear();
+  ASSERT_EQ(raid.write_page(9, {}, one, &plan), IoStatus::kOk);
+  EXPECT_EQ(raid.disk_reads(), 3u);
+  EXPECT_EQ(raid.disk_writes(), 4u);
+  ASSERT_EQ(plan.phases().size(), 2u);
+  EXPECT_EQ(plan.phases()[0].size(), 2u);
+  EXPECT_EQ(plan.phases()[1].size(), 2u);
+}
+
+TEST(RaidBackendTest, ReconstructParityUpdateCountsItsMemberReads) {
+  RaidBackend raid(backend_geo());
+  const Page placeholder;
+  std::vector<const Page*> members(4, &placeholder);
+  members[1] = members[3] = nullptr;  // read from disk
+  IoPlan plan;
+  ASSERT_EQ(raid.update_parity_reconstruct_cached(2, members, &plan), IoStatus::kOk);
+  EXPECT_EQ(raid.disk_reads(), 2u);
+  EXPECT_EQ(raid.disk_writes(), 1u);
+  ASSERT_EQ(plan.phases().size(), 2u);
+  EXPECT_EQ(plan.phases()[0].size(), 2u);
+  EXPECT_EQ(plan.phases()[1].size(), 1u);
+}
+
 }  // namespace
 }  // namespace kdd

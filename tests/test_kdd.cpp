@@ -349,6 +349,163 @@ TEST(KddReal, IncompressibleContentTakesFallbacksButStaysCorrect) {
   EXPECT_TRUE(array.scrub().empty());
 }
 
+// ---------------------------------------------------------------------------
+// Write misses reconstruct-written from cached row-mates
+// ---------------------------------------------------------------------------
+
+/// The cache slot holding `lba` as a clean or old page; kNone when uncached.
+std::uint32_t slot_of(const KddCache& kdd, Lba lba) {
+  const CacheSets& sets = kdd.sets();
+  for (std::uint32_t i = 0; i < sets.pages(); ++i) {
+    const CacheSets::CacheSlot& s = sets.slot(i);
+    if (s.lba == lba && (s.state == PageState::kClean || s.state == PageState::kOld)) {
+      return i;
+    }
+  }
+  return CacheSets::kNone;
+}
+
+/// `page` with `bytes` bytes at a seed-chosen offset replaced: a delta that
+/// compresses to about `bytes`.
+Page changed(const Page& page, std::uint64_t seed, std::size_t bytes = 64) {
+  Page out = page;
+  Rng rng(seed);
+  const std::size_t at = rng.next_below(kPageSize - bytes);
+  for (std::size_t b = 0; b < bytes; ++b) {
+    out[at + b] = static_cast<std::uint8_t>(rng.next_u64());
+  }
+  return out;
+}
+
+/// A prototype stack whose group `g` holds version 0 of every data member
+/// on the array and nothing in the cache.
+struct RowMateRig {
+  explicit RowMateRig(GroupId group) : array(small_geo()), ssd(small_ssd()), g(group) {
+    kdd = std::make_unique<KddCache>(small_config(), &array, &ssd);
+    for (std::uint32_t k = 0; k < small_geo().data_disks(); ++k) {
+      const Lba lba = member(k);
+      EXPECT_EQ(array.write_page(lba, test_page(lba)), IoStatus::kOk);
+      model.write(lba, test_page(lba));
+    }
+  }
+
+  Lba member(std::uint32_t k) const { return array.layout().group_member(g, k); }
+
+  void read(Lba lba) {
+    Page buf = make_page();
+    ASSERT_EQ(kdd->read(lba, buf, nullptr), IoStatus::kOk);
+    ASSERT_EQ(buf, model.read(lba));
+  }
+
+  void write(Lba lba, const Page& data) {
+    ASSERT_EQ(kdd->write(lba, data, nullptr), IoStatus::kOk);
+    model.write(lba, data);
+  }
+
+  /// Flushes, then the scrub must be clean and every page read back.
+  void flush_and_verify() {
+    kdd->check_invariants();
+    kdd->flush(nullptr);
+    EXPECT_TRUE(array.scrub().empty());
+    for (const auto& [lba, page] : model.pages()) read(lba);
+  }
+
+  RaidArray array;
+  SsdModel ssd;
+  GroupId g;
+  std::unique_ptr<KddCache> kdd;
+  ReferenceModel model;
+};
+
+TEST(KddReal, WriteMissReconstructsFromCachedRowMates) {
+  // Row-mate 1 is clean, row-mate 2 old with its delta staged in NVRAM,
+  // row-mate 3 old with its delta in a DEZ page. The write miss on member 0
+  // reads all three DAZ pages instead of any disk page. The old ones supply
+  // their DAZ bases — the versions the group's stale parity reflects — so
+  // the new parity leaves both deltas pending and exact.
+  RowMateRig rig(10);
+  for (std::uint32_t k = 1; k <= 3; ++k) rig.read(rig.member(k));
+  const Lba staged = rig.member(2);
+  const Lba in_dez = rig.member(3);
+  rig.write(in_dez, changed(rig.model.read(in_dez), 1));
+  // Write hits elsewhere until the staging buffer commits into a DEZ page.
+  for (Lba lba = 512; rig.kdd->dez_pages() == 0 && lba < 1024; lba += 8) {
+    ASSERT_NE(rig.array.layout().group_of(lba), rig.g);
+    rig.model.write(lba, test_page(lba));
+    ASSERT_EQ(rig.array.write_page(lba, test_page(lba)), IoStatus::kOk);
+    rig.read(lba);
+    rig.write(lba, changed(test_page(lba), lba, 512));
+  }
+  rig.write(staged, changed(rig.model.read(staged), 2));
+
+  const CacheSets& sets = rig.kdd->sets();
+  ASSERT_EQ(sets.slot(slot_of(*rig.kdd, rig.member(1))).state, PageState::kClean);
+  ASSERT_EQ(sets.slot(slot_of(*rig.kdd, staged)).dez_idx, CacheSets::kStaged);
+  const std::uint32_t dez_slot = slot_of(*rig.kdd, in_dez);
+  ASSERT_EQ(sets.slot(dez_slot).state, PageState::kOld);
+  ASSERT_NE(sets.slot(dez_slot).dez_idx, CacheSets::kStaged);
+  ASSERT_TRUE(rig.array.group_stale(rig.g));
+
+  const Lba target = rig.member(0);
+  const Page data = changed(rig.model.read(target), 3);
+  const std::uint64_t reads = rig.array.total_disk_reads();
+  rig.write(target, data);
+  EXPECT_EQ(rig.array.total_disk_reads(), reads);
+  EXPECT_EQ(rig.kdd->write_miss_rcw(), 1u);
+  EXPECT_EQ(rig.kdd->write_miss_rmw(), 0u);
+  EXPECT_TRUE(rig.array.group_stale(rig.g));
+  EXPECT_GE(rig.kdd->old_pages(), 2u);
+
+  // Parity reflects the new data and every row-mate's version 0.
+  Page expected = data;
+  for (std::uint32_t k = 1; k <= 3; ++k) xor_into(expected, test_page(rig.member(k)));
+  const DiskAddr pa = rig.array.layout().parity_addr(rig.g);
+  const auto parity = rig.array.disk(pa.disk).raw_page(pa.page);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), parity.begin()));
+
+  rig.flush_and_verify();
+}
+
+TEST(KddReal, UnreadableRowMateSendsTheWriteMissDownRmw) {
+  RowMateRig rig(12);
+  for (std::uint32_t k = 1; k <= 3; ++k) rig.read(rig.member(k));
+  const std::uint32_t rotten = slot_of(*rig.kdd, rig.member(2));
+  ASSERT_NE(rotten, CacheSets::kNone);
+  CacheSsd& cache = rig.kdd->cache_ssd();
+  cache.faults()->inject_media_error(cache.metadata_pages() + rotten);
+
+  const Lba target = rig.member(0);
+  const std::uint64_t reads = rig.array.total_disk_reads();
+  rig.write(target, changed(rig.model.read(target), 4));
+  EXPECT_EQ(rig.array.total_disk_reads() - reads, 2u);  // old data + parity
+  EXPECT_EQ(rig.kdd->write_miss_rcw(), 0u);
+  EXPECT_EQ(rig.kdd->write_miss_rmw(), 1u);
+  EXPECT_EQ(rig.kdd->media_fallbacks(), 1u);
+  rig.flush_and_verify();
+}
+
+TEST(KddReal, HealCountsTheMemberReadsItIssues) {
+  // An old page whose DAZ base rots: the read hit heals the group, which
+  // reads every data member from disk to recompute parity. The cache's disk
+  // read counter must see those reads, not just the page read after them.
+  RowMateRig rig(14);
+  const Lba lba = rig.member(1);
+  rig.read(lba);
+  rig.write(lba, changed(rig.model.read(lba), 5));
+  const std::uint32_t rotten = slot_of(*rig.kdd, lba);
+  CacheSsd& cache = rig.kdd->cache_ssd();
+  cache.faults()->inject_media_error(cache.metadata_pages() + rotten);
+
+  const std::uint64_t counted = rig.kdd->stats().disk_reads;
+  const std::uint64_t issued = rig.array.total_disk_reads();
+  rig.read(lba);
+  EXPECT_EQ(rig.kdd->groups_healed(), 1u);
+  EXPECT_EQ(rig.array.total_disk_reads() - issued, 5u);  // 4 members + the page
+  EXPECT_EQ(rig.kdd->stats().disk_reads - counted,
+            rig.array.total_disk_reads() - issued);
+  rig.flush_and_verify();
+}
+
 TEST(KddReal, ReclaimAsCleanKeepsPagesCached) {
   const RaidGeometry geo = small_geo();
   PolicyConfig cfg = small_config();

@@ -236,6 +236,30 @@ TEST_P(KddPlanShape, MetadataCommitAddsATrailingSsdWritePhase) {
   ASSERT_TRUE(committed);
 }
 
+TEST_P(KddPlanShape, WriteMissReconstructsFromResidentRowMates) {
+  // Resident row-mates' DAZ reads stand in for disk reads. The data write
+  // needs none of them, so it starts beside the reads and the fill; only
+  // the parity write waits for them.
+  Rig rig(shape_config(), /*prototype=*/GetParam(), Kind::kKdd);
+  const RaidLayout layout(shape_geo());
+  const GroupId g = 20;
+  const auto member = [&](std::uint32_t k) { return layout.group_member(g, k); };
+  rig.read(member(1));
+  rig.read(member(2));
+  expect_shape(rig.write(member(0)), "{S}{S}{H h}{h}{s}", "{S S H h s}{h}",
+               "write miss, two row-mates resident");
+  expect_shape(rig.write(member(3)), "{S}{S}{S}{h}{h}{s}", "{S S S h s}{h}",
+               "write miss, three row-mates resident");
+  EXPECT_EQ(rig.kdd->write_miss_rcw(), 2u);
+
+  // One resident row-mate would save no read: RMW, exactly as before.
+  const GroupId g2 = 24;
+  rig.read(layout.group_member(g2, 1));
+  expect_shape(rig.write(layout.group_member(g2, 0)), "{H H}{h h}{s}", "{H H s}{h h}",
+               "write miss, one row-mate resident");
+  EXPECT_EQ(rig.kdd->write_miss_rcw(), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, KddPlanShape, ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& mode) {
                            return std::string(mode.param ? "Prototype" : "Counter");
@@ -411,15 +435,20 @@ ReplayDigest replay(bool prototype, Kind kind) {
 // cleans, so the two KDD rows also encode the cleaner's victim order. They
 // were re-pinned when it switched from the lowest-addressed dirty groups to
 // the least recently written ones; with only the claim order switched back,
-// both rows reproduce the serial recording's digests exactly.
+// both rows reproduce the serial recording's digests exactly. Their
+// foreground digests and op counts were re-pinned again when write misses
+// began reconstruct-writing from resident row-mates (SSD reads in place of
+// disk reads); with only that choice disabled
+// (RaidGeometry::prefers_reconstruct_write always false), both rows
+// reproduce the previous pins, background and idle digests included.
 TEST(PlanShape, SeededReplaysRecordTheSameOpsAsTheSerialRecording) {
   constexpr std::uint64_t kNone = 0xcbf29ce484222325ull;  // nothing recorded
   EXPECT_EQ(replay(false, Kind::kKdd),
-            (ReplayDigest{0x67ac9d376c5c6d12ull, 0xd33201f38aa9ddcaull,
-                          0x8db955799a778cull, 15045, 8}));
+            (ReplayDigest{0x4761d1e572ff97f0ull, 0xd33201f38aa9ddcaull,
+                          0x8db955799a778cull, 15172, 8}));
   EXPECT_EQ(replay(true, Kind::kKdd),
-            (ReplayDigest{0xdefe5e8b35a8aceaull, 0xc1a6bd3b2d3226ebull,
-                          0xadb298eff61dfe23ull, 14879, 6}));
+            (ReplayDigest{0x7d4b9b188c2e0fe6ull, 0xc1a6bd3b2d3226ebull,
+                          0xadb298eff61dfe23ull, 15013, 6}));
   EXPECT_EQ(replay(false, Kind::kWT),
             (ReplayDigest{0xa0dd759ae33aaa09ull, kNone, kNone, 15082, 0}));
   EXPECT_EQ(replay(false, Kind::kLeavO),

@@ -348,6 +348,169 @@ TEST(RaidArray, CountersTrackDeviceIo) {
 }
 
 // ---------------------------------------------------------------------------
+// Reconstruct-write from caller-supplied row-mates
+// ---------------------------------------------------------------------------
+
+/// Writes version `v` of every data member of group `g` conventionally.
+void fill_group(RaidArray& array, GroupId g, std::uint64_t v) {
+  for (std::uint32_t k = 0; k < array.geometry().data_disks(); ++k) {
+    const Lba lba = array.layout().group_member(g, k);
+    ASSERT_EQ(array.write_page(lba, test_page(lba, v)), IoStatus::kOk);
+  }
+}
+
+/// Row-mate images for a write of data index `target` of group `g`: the
+/// first `supply` row-mates point at `images` (version `v` of each), the
+/// others are null.
+std::vector<const Page*> row_mates(const RaidArray& array, GroupId g,
+                                   std::uint32_t target, std::uint32_t supply,
+                                   std::uint64_t v, std::vector<Page>& images) {
+  const std::uint32_t dd = array.geometry().data_disks();
+  images.assign(dd, Page());
+  std::vector<const Page*> members(dd, nullptr);
+  for (std::uint32_t k = 0; k < dd && supply > 0; ++k) {
+    if (k == target) continue;
+    images[k] = test_page(array.layout().group_member(g, k), v);
+    members[k] = &images[k];
+    --supply;
+  }
+  return members;
+}
+
+std::size_t count_ops(const IoPlan& plan, IoKind kind) {
+  std::size_t n = 0;
+  for (const auto& phase : plan.phases()) {
+    for (const DeviceOp& op : phase) n += op.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(RaidReconstructWrite, Raid5ReadsOnlyTheRowMatesItWasNotGiven) {
+  // Three row-mates: RMW reads 2 pages, reconstruct-write the row-mates
+  // not supplied. 3 supplied -> 0 reads, 2 -> 1; 1 supplied ties RMW's 2
+  // reads and stays RMW, as does none.
+  const std::uint64_t expected_reads[] = {2, 2, 1, 0};
+  for (std::uint32_t supply = 0; supply <= 3; ++supply) {
+    RaidArray array(geo5());
+    const GroupId g = 6;
+    fill_group(array, g, 0);
+    const std::uint32_t target = 1;
+    const Lba lba = array.layout().group_member(g, target);
+    std::vector<Page> images;
+    const std::vector<const Page*> members =
+        row_mates(array, g, target, supply, 0, images);
+    array.reset_counters();
+    IoPlan plan;
+    ASSERT_EQ(array.write_page(lba, test_page(lba, 1), members, &plan), IoStatus::kOk);
+    EXPECT_EQ(array.total_disk_reads(), expected_reads[supply]) << "supplied " << supply;
+    EXPECT_EQ(array.total_disk_writes(), 2u) << "supplied " << supply;
+    EXPECT_EQ(count_ops(plan, IoKind::kRead), expected_reads[supply]);
+    EXPECT_EQ(count_ops(plan, IoKind::kWrite), 2u);
+    ASSERT_EQ(plan.phases().size(), 2u);
+    if (supply >= 2) {
+      // The data write rides with the member reads; only parity waits.
+      EXPECT_EQ(plan.phases()[0].back().kind, IoKind::kWrite);
+      ASSERT_EQ(plan.phases()[1].size(), 1u);
+      EXPECT_EQ(plan.phases()[1][0].page, array.layout().parity_addr(g).page);
+    }
+    EXPECT_TRUE(array.scrub().empty()) << "supplied " << supply;
+    EXPECT_FALSE(array.group_stale(g));
+    Page buf = make_page();
+    ASSERT_EQ(array.read_page(lba, buf), IoStatus::kOk);
+    EXPECT_EQ(buf, test_page(lba, 1));
+  }
+}
+
+TEST(RaidReconstructWrite, NoImagesIsRmwWhateverTheGeometry) {
+  // Three disks: reconstruct-write would read one row-mate against RMW's
+  // two reads, but with no image supplied the write stays RMW.
+  RaidGeometry geo = geo5();
+  geo.num_disks = 3;
+  RaidArray array(geo);
+  const std::vector<const Page*> none(geo.data_disks(), nullptr);
+  array.reset_counters();
+  ASSERT_EQ(array.write_page(4, test_page(4), none, nullptr), IoStatus::kOk);
+  EXPECT_EQ(array.total_disk_reads(), 2u);
+  EXPECT_TRUE(array.scrub().empty());
+}
+
+TEST(RaidReconstructWrite, Raid6TakesItWheneverAtMostTwoRowMatesComeFromDisk) {
+  // RMW reads old data, P and Q: three reads. Reconstruct-write reads the
+  // row-mates not supplied, so one supplied row-mate already pays.
+  const std::uint64_t expected_reads[] = {3, 2, 1, 0};
+  for (std::uint32_t supply = 0; supply <= 3; ++supply) {
+    RaidArray array(geo6());
+    const GroupId g = 9;
+    fill_group(array, g, 0);
+    const std::uint32_t target = 2;
+    const Lba lba = array.layout().group_member(g, target);
+    std::vector<Page> images;
+    const std::vector<const Page*> members =
+        row_mates(array, g, target, supply, 0, images);
+    array.reset_counters();
+    IoPlan plan;
+    ASSERT_EQ(array.write_page(lba, test_page(lba, 1), members, &plan), IoStatus::kOk);
+    EXPECT_EQ(array.total_disk_reads(), expected_reads[supply]) << "supplied " << supply;
+    EXPECT_EQ(array.total_disk_writes(), 3u) << "supplied " << supply;
+    EXPECT_EQ(count_ops(plan, IoKind::kRead), expected_reads[supply]);
+    EXPECT_TRUE(array.scrub().empty()) << "supplied " << supply;
+  }
+}
+
+TEST(RaidReconstructWrite, StaleGroupStaysStaleAndItsPendingDeltaStillFolds) {
+  // Row-mate 0 was rewritten without a parity update: parity still reflects
+  // its version 0. Images of the versions the parity reflects keep the
+  // pending delta exact — the write leaves the group stale, and folding the
+  // delta afterwards scrubs clean.
+  RaidArray array(geo5());
+  const GroupId g = 4;
+  fill_group(array, g, 0);
+  const Lba old_mate = array.layout().group_member(g, 0);
+  ASSERT_EQ(array.write_page_nopar(old_mate, test_page(old_mate, 1)), IoStatus::kOk);
+  ASSERT_TRUE(array.group_stale(g));
+
+  const std::uint32_t target = 3;
+  const Lba lba = array.layout().group_member(g, target);
+  std::vector<Page> images;
+  const std::vector<const Page*> members = row_mates(array, g, target, 3, 0, images);
+  array.reset_counters();
+  ASSERT_EQ(array.write_page(lba, test_page(lba, 1), members, nullptr), IoStatus::kOk);
+  EXPECT_EQ(array.total_disk_reads(), 0u);
+  EXPECT_TRUE(array.group_stale(g));
+
+  const Page diff = xor_pages(test_page(old_mate, 0), test_page(old_mate, 1));
+  const GroupDelta delta{0, &diff};
+  ASSERT_EQ(array.update_parity_rmw(g, {&delta, 1}), IoStatus::kOk);
+  EXPECT_FALSE(array.group_stale(g));
+  EXPECT_TRUE(array.scrub().empty());
+  Page buf = make_page();
+  ASSERT_EQ(array.read_page(lba, buf), IoStatus::kOk);
+  EXPECT_EQ(buf, test_page(lba, 1));
+}
+
+TEST(RaidReconstructWrite, RowMateReadFaultFallsBackToRmw) {
+  // The one row-mate left to read from disk is unreadable: RMW never reads
+  // it, so the write falls back to RMW before writing anything.
+  RaidArray array(geo5());
+  const GroupId g = 5;
+  fill_group(array, g, 0);
+  const std::uint32_t target = 0;
+  const Lba lba = array.layout().group_member(g, target);
+  std::vector<Page> images;
+  const std::vector<const Page*> members = row_mates(array, g, target, 2, 0, images);
+  const DiskAddr unread = array.layout().map(array.layout().group_member(g, 3));
+  array.faults(unread.disk).inject_media_error(unread.page);
+  IoPlan plan;
+  ASSERT_EQ(array.write_page(lba, test_page(lba, 1), members, &plan), IoStatus::kOk);
+  EXPECT_EQ(count_ops(plan, IoKind::kRead), 2u);  // RMW: old data + parity
+  EXPECT_EQ(count_ops(plan, IoKind::kWrite), 2u);
+  EXPECT_TRUE(array.scrub().empty());
+  Page buf = make_page();
+  ASSERT_EQ(array.read_page(lba, buf), IoStatus::kOk);
+  EXPECT_EQ(buf, test_page(lba, 1));
+}
+
+// ---------------------------------------------------------------------------
 // Partial faults and self-healing
 // ---------------------------------------------------------------------------
 
@@ -383,6 +546,69 @@ TEST(RaidFaults, ReadRepairHealsLatentSectorError) {
   EXPECT_EQ(array.read_repairs(), 1u);
   EXPECT_EQ(array.faults(a.disk).fault_counters().media_error_reads, 1u);
   EXPECT_TRUE(array.scrub().empty());
+}
+
+TEST(RaidFaults, Raid6QReadErrorInAStaleGroupWritesNothing) {
+  // A row-mate's deferred write made the group stale; then the group's Q
+  // page rots. The small write cannot update Q, so it must fail before its
+  // data or P reach the disks — not leave Q behind them unmarked.
+  RaidArray array(geo6());
+  const GroupId g = 7;
+  fill_group(array, g, 0);
+  const Lba mate = array.layout().group_member(g, 1);
+  ASSERT_EQ(array.write_page_nopar(mate, test_page(mate, 1)), IoStatus::kOk);
+  const DiskAddr pa = array.layout().parity_addr(g);
+  const Page p_before(array.disk(pa.disk).raw_page(pa.page).begin(),
+                      array.disk(pa.disk).raw_page(pa.page).end());
+  const DiskAddr qa = array.layout().q_parity_addr(g);
+  array.faults(qa.disk).inject_media_error(qa.page);
+
+  const Lba target = array.layout().group_member(g, 0);
+  EXPECT_EQ(array.write_page(target, test_page(target, 1)), IoStatus::kFailed);
+  Page buf = make_page();
+  ASSERT_EQ(array.read_page(target, buf), IoStatus::kOk);
+  EXPECT_EQ(buf, test_page(target, 0));
+  EXPECT_TRUE(std::equal(p_before.begin(), p_before.end(),
+                         array.disk(pa.disk).raw_page(pa.page).begin()));
+  EXPECT_TRUE(array.group_stale(g));
+}
+
+TEST(RaidFaults, Raid6QReadErrorInACleanGroupRecordsEachWriteOnce) {
+  // Same rot in a clean group: the general path recomputes P and Q from
+  // the whole group (healing Q). Its writes are the only writes recorded.
+  RaidArray array(geo6());
+  const GroupId g = 7;
+  fill_group(array, g, 0);
+  const DiskAddr qa = array.layout().q_parity_addr(g);
+  array.faults(qa.disk).inject_media_error(qa.page);
+  const Lba target = array.layout().group_member(g, 0);
+  IoPlan plan;
+  ASSERT_EQ(array.write_page(target, test_page(target, 1), &plan), IoStatus::kOk);
+  EXPECT_EQ(count_ops(plan, IoKind::kWrite), 3u);  // data, P, Q
+  EXPECT_EQ(count_ops(plan, IoKind::kRead), 3u);   // the three row-mates
+  EXPECT_TRUE(array.scrub().empty());
+}
+
+TEST(RaidFaults, Raid6ParityRmwReadsQBeforeRewritingP) {
+  // A deferred parity update whose Q read fails must leave P alone too, so
+  // P and Q still describe the same (stale) contents.
+  RaidArray array(geo6());
+  const GroupId g = 3;
+  fill_group(array, g, 0);
+  const Lba mate = array.layout().group_member(g, 2);
+  ASSERT_EQ(array.write_page_nopar(mate, test_page(mate, 1)), IoStatus::kOk);
+  const DiskAddr pa = array.layout().parity_addr(g);
+  const Page p_before(array.disk(pa.disk).raw_page(pa.page).begin(),
+                      array.disk(pa.disk).raw_page(pa.page).end());
+  const DiskAddr qa = array.layout().q_parity_addr(g);
+  array.faults(qa.disk).inject_media_error(qa.page);
+
+  const Page diff = xor_pages(test_page(mate, 0), test_page(mate, 1));
+  const GroupDelta delta{2, &diff};
+  EXPECT_EQ(array.update_parity_rmw(g, {&delta, 1}), IoStatus::kMediaError);
+  EXPECT_TRUE(std::equal(p_before.begin(), p_before.end(),
+                         array.disk(pa.disk).raw_page(pa.page).begin()));
+  EXPECT_TRUE(array.group_stale(g));
 }
 
 TEST(RaidFaults, RebuildDoubleFaultReportsExactLostStripes) {

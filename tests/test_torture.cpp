@@ -32,6 +32,7 @@ TEST(Torture, TwoHundredRandomCrashPointsZeroViolations) {
   std::uint64_t seg_recovered = 0;
   std::uint64_t seg_discarded = 0;
   std::uint64_t seg_pages_discarded = 0;
+  std::uint64_t write_miss_rcw = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const TortureReport rep = runner.run_seed(seed);
     expect_clean(rep);
@@ -43,6 +44,7 @@ TEST(Torture, TwoHundredRandomCrashPointsZeroViolations) {
     seg_recovered += rep.segments_recovered;
     seg_discarded += rep.segments_discarded;
     seg_pages_discarded += rep.segment_pages_discarded;
+    write_miss_rcw += rep.write_miss_rcw;
   }
   // Every seed must actually have crashed (the cut index is < the dry-run
   // write count by construction) and torn exactly one cache page write.
@@ -60,6 +62,9 @@ TEST(Torture, TwoHundredRandomCrashPointsZeroViolations) {
   EXPECT_GT(seg_discarded, 0u);
   EXPECT_GE(seg_pages_discarded, seg_discarded);
   EXPECT_GT(seg_recovered + seg_discarded, 0u);
+  // The cuts must also be able to land inside a write miss that
+  // reconstruct-writes from cached row-mates.
+  EXPECT_GT(write_miss_rcw, 0u);
 }
 
 // Corner case: the very first media write of the run is the torn one — the
