@@ -7,14 +7,6 @@
 // column proves it. Throughput is bounded by the inner policy mutex (the
 // policies themselves are single-threaded by design); the point of the
 // striping is contention-free per-group ordering, not parallel policy code.
-//
-// Each thread count runs twice: once with the single idle cleaner (pool=0)
-// and once with a cleaner pool sized to the submitter count (pool=N). The
-// pool rows exercise the batched destage pipeline (kdd/destage.hpp): the
-// feeder claims dirty parity groups and N workers fold deltas into parity
-// with the policy lock *released* during the XOR/decompress stage. Digests
-// must agree across every (threads, pool) combination — destage order never
-// changes the final array contents.
 #include <chrono>
 #include <cstdio>
 
@@ -38,105 +30,42 @@ int run() {
   const RaidGeometry geo = paper_geometry(tcfg.unique_total());
   const std::uint64_t array_pages = geo.data_pages();
 
-  TextTable table({"threads", "pool", "ops", "wall ms", "kops/s", "cleaner",
-                   "batches", "digest"});
+  TextTable table({"threads", "ops", "wall ms", "kops/s", "cleaner", "digest"});
   std::uint64_t digest1 = 0;
-  bool have_digest1 = false;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (const bool pool_on : {false, true}) {
-      const std::uint32_t pool_threads = pool_on ? threads : 0u;
-      RaidArray array(geo);
-      SsdConfig scfg;
-      scfg.logical_pages = 4096;
-      SsdModel ssd(scfg);
-      PolicyConfig cfg;
-      cfg.ssd_pages = scfg.logical_pages;
-      KddCache kdd(cfg, &array, &ssd);
-      ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(5),
-                            pool_threads);
+    RaidArray array(geo);
+    SsdConfig scfg;
+    scfg.logical_pages = 4096;
+    SsdModel ssd(scfg);
+    PolicyConfig cfg;
+    cfg.ssd_pages = scfg.logical_pages;
+    KddCache kdd(cfg, &array, &ssd);
+    ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(5));
 
-      const auto t0 = std::chrono::steady_clock::now();
-      const ConcurrentReplayResult r =
-          run_concurrent_trace(cache, array.layout(), trace, array_pages,
-                               threads, /*seed=*/7);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      const std::uint64_t digest = replay_readback_digest(cache, array_pages);
-      if (!have_digest1) {
-        digest1 = digest;
-        have_digest1 = true;
-      }
+    const auto t0 = std::chrono::steady_clock::now();
+    const ConcurrentReplayResult r =
+        run_concurrent_trace(cache, array.layout(), trace, array_pages,
+                             threads, /*seed=*/7);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    const std::uint64_t digest = replay_readback_digest(cache, array_pages);
+    if (threads == 1) digest1 = digest;
 
-      char dg[24];
-      std::snprintf(dg, sizeof dg, "%016llx",
-                    static_cast<unsigned long long>(digest));
-      table.add_row({std::to_string(threads), std::to_string(pool_threads),
-                     std::to_string(r.ops), TextTable::num(ms, 1),
-                     TextTable::num(static_cast<double>(r.ops) / ms, 1),
-                     std::to_string(cache.cleaner_passes()),
-                     std::to_string(cache.pool_batches()), dg});
-      if (digest != digest1) {
-        std::fprintf(stderr, "FATAL: digest diverged at %u threads (pool=%u)\n",
-                     threads, pool_threads);
-        return 1;
-      }
+    char dg[24];
+    std::snprintf(dg, sizeof dg, "%016llx",
+                  static_cast<unsigned long long>(digest));
+    table.add_row({std::to_string(threads), std::to_string(r.ops),
+                   TextTable::num(ms, 1),
+                   TextTable::num(static_cast<double>(r.ops) / ms, 1),
+                   std::to_string(cache.cleaner_passes()), dg});
+    if (digest != digest1) {
+      std::fprintf(stderr, "FATAL: digest diverged at %u threads\n", threads);
+      return 1;
     }
   }
   table.print();
-
-  // Async submit/complete sweep: same trace through the submission-queue
-  // engine at increasing queue depth. Engine workers match the submitter
-  // count; the digest column must stay equal to the sync rows above — the
-  // async path is a scheduling change, never a semantic one.
-  TextTable async_table({"threads", "qd", "ops", "wall ms", "kops/s",
-                         "stalls", "rejected", "digest"});
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (const unsigned qd : {16u, 64u, 256u}) {
-      RaidArray array(geo);
-      SsdConfig scfg;
-      scfg.logical_pages = 4096;
-      SsdModel ssd(scfg);
-      PolicyConfig cfg;
-      cfg.ssd_pages = scfg.logical_pages;
-      KddCache kdd(cfg, &array, &ssd);
-      ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(5),
-                            /*cleaner_pool=*/0);
-      AsyncEngineOptions aopts;
-      aopts.workers = threads;
-      aopts.shard_queue_depth = qd;
-      aopts.high_watermark = 4ull * threads * qd;
-      aopts.low_watermark = 2ull * threads * qd;
-      cache.start_async(aopts);
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const ConcurrentReplayResult r = run_concurrent_trace_async(
-          cache, array.layout(), trace, array_pages, threads, /*seed=*/7, qd);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      const std::uint64_t digest = replay_readback_digest(cache, array_pages);
-      const AsyncEngineStats st = cache.async_stats();
-
-      char dg[24];
-      std::snprintf(dg, sizeof dg, "%016llx",
-                    static_cast<unsigned long long>(digest));
-      async_table.add_row({std::to_string(threads), std::to_string(qd),
-                           std::to_string(r.ops), TextTable::num(ms, 1),
-                           TextTable::num(static_cast<double>(r.ops) / ms, 1),
-                           std::to_string(st.stalls),
-                           std::to_string(st.rejected), dg});
-      if (digest != digest1) {
-        std::fprintf(stderr, "FATAL: async digest diverged at %u threads QD=%u\n",
-                     threads, qd);
-        return 1;
-      }
-    }
-  }
-  std::printf("\nAsync submit/complete engine (workers = submitters):\n");
-  async_table.print();
-  std::printf("\nAll digests identical: multi-threaded replay (sync and async,"
-              " with and without\nthe cleaner pool) reproduces the"
+  std::printf("\nAll digests identical: multi-threaded replay reproduces the"
               " single-threaded final state.\n");
   return 0;
 }

@@ -2,7 +2,8 @@
 // and KDD at three content-locality levels over a trace, reporting hit
 // ratios or SSD write traffic.
 //
-// Multi-core mode: KDD_SWEEP_THREADS=<n> (default 1) runs the
+// Multi-core mode: KDD_SWEEP_THREADS=<n> (default 1, capped at the host's
+// hardware threads; see sweep_threads() in harness/harness.hpp) runs the
 // (policy, locality, cache-size) grid points of each workload across a
 // ThreadPool. Results land in index-addressed slots and the table/CSV are
 // emitted serially after a join barrier, so row order, cell order and the
@@ -25,16 +26,6 @@
 #include "common/thread_pool.hpp"
 
 namespace kdd::bench {
-
-/// Sweep-point parallelism: KDD_SWEEP_THREADS (>= 1; default 1 keeps the
-/// historical fully serial behaviour).
-inline std::size_t sweep_threads() {
-  if (const char* env = std::getenv("KDD_SWEEP_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 1) return static_cast<std::size_t>(v);
-  }
-  return 1;
-}
 
 /// One mutex per output file (figure+workload), created on first use. Keeps
 /// concurrent sweeps from interleaving writes into the same CSV.

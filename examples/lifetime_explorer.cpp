@@ -12,7 +12,7 @@
 #include <unordered_map>
 
 #include "blockdev/ssd_model.hpp"
-#include "cli_args.hpp"
+#include "common/cli_args.hpp"
 #include "common/table.hpp"
 #include "compress/content.hpp"
 #include "harness/harness.hpp"

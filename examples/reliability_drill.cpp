@@ -12,7 +12,7 @@
 #include <optional>
 #include <string>
 
-#include "cli_args.hpp"
+#include "common/cli_args.hpp"
 #include "harness/drill.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"

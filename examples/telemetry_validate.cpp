@@ -464,8 +464,7 @@ void validate_health_file(const std::string& dir, const std::string& file) {
         file + ": missing alerts array");
   std::size_t rules = 0;
   for (const char* rule :
-       {"latency_burn", "hit_ratio_collapse", "admission_reject_spike",
-        "queue_stall", "wear_imbalance", "array_degraded"}) {
+       {"latency_burn", "hit_ratio_collapse", "wear_imbalance", "array_degraded"}) {
     if (body.find(std::string("\"rule\":\"") + rule + "\"") !=
         std::string::npos) {
       ++rules;

@@ -19,7 +19,7 @@
 #include <optional>
 #include <string>
 
-#include "cli_args.hpp"
+#include "common/cli_args.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "harness/harness.hpp"

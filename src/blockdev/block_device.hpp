@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "common/units.hpp"
@@ -47,20 +46,6 @@ struct DeviceCounters {
   std::uint64_t total() const { return reads + writes; }
 };
 
-/// One submitted page I/O for the asynchronous interface. Exactly one of
-/// `out`/`data` is meaningful, selected by `op`. The buffer must stay valid
-/// until the completion callback fires.
-struct AsyncIo {
-  enum class Op : std::uint8_t { kRead, kWrite };
-  Op op = Op::kRead;
-  Lba page = 0;
-  std::span<std::uint8_t> out{};         ///< kRead destination (kPageSize)
-  std::span<const std::uint8_t> data{};  ///< kWrite source (kPageSize)
-};
-
-/// Completion callback for submit(): invoked exactly once per submission.
-using AsyncCallback = std::function<void(IoStatus)>;
-
 /// One entry of a vectored (scatter-gather) write. The target pages may be
 /// scattered in the logical address space — the point of write_multi is that
 /// flash devices lay the whole batch down as one physically sequential
@@ -97,20 +82,6 @@ class BlockDevice {
     }
     if (pages_done) *pages_done = done;
     return st;
-  }
-
-  /// Submit-and-complete interface: enqueue `io` and return; `cb` fires when
-  /// the I/O completes. The default is the trivially-correct synchronous
-  /// fallback — execute inline, complete before returning — which is exactly
-  /// right for the memory- and file-backed devices whose "latency" is the
-  /// call itself. Simulator-attached devices override this to defer the
-  /// completion by the modelled service time on the event-sim clock
-  /// (src/sim/async_queue.hpp); completion order then follows simulated
-  /// device time, not submission order.
-  virtual void submit(const AsyncIo& io, AsyncCallback cb) {
-    const IoStatus st = io.op == AsyncIo::Op::kRead ? read(io.page, io.out)
-                                                    : write(io.page, io.data);
-    if (cb) cb(st);
   }
 
   /// Device capacity in pages.

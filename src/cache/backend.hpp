@@ -101,8 +101,9 @@ class CacheSsd {
   std::uint64_t write_ops() const { return write_ops_; }
   std::uint64_t pages_committed() const { return pages_committed_; }
 
-  /// Seals and flushes the open segment. Barrier call sites: flush, quiesce,
-  /// rebuild stripe windows, failover. No-op when staging is off or empty.
+  /// Seals and flushes the open segment. Barrier call sites: flush, online
+  /// disk failure, rebuild stripe windows, failover. No-op when staging is
+  /// off or empty.
   IoStatus force_seal(IoPlan* plan);
 
   /// Crash recovery for the in-flight segment (prototype mode; call BEFORE

@@ -33,9 +33,6 @@ struct PolicyConfig {
   /// high/low watermark gap (enough groups to get from high back under low
   /// in ~4 batches).
   std::uint32_t destage_batch_groups = 0;
-  /// Worker threads in the ConcurrentCache cleaner pool. 0 = no pool (the
-  /// single idle-cleaner thread drives destage inline, as before).
-  std::uint32_t cleaner_threads = 0;
   /// LARC-style lazy admission (Section V-C lists it as complementary to
   /// KDD): admit a page only on its second miss within a ghost-LRU window.
   bool selective_admission = false;

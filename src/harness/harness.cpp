@@ -1,14 +1,15 @@
 #include "harness/harness.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/cli_args.hpp"
+#include "common/kernels.hpp"
 #include "kdd/kdd_cache.hpp"
 #include "policies/leavo.hpp"
 #include "policies/nocache.hpp"
@@ -172,8 +173,7 @@ ConcurrentReplayResult run_concurrent_trace(ConcurrentCache& cache,
                                             unsigned threads, std::uint64_t seed) {
   KDD_CHECK(array_pages > 0);
   KDD_CHECK(threads > 0);
-  using Op = ReplayOp;
-  std::vector<std::vector<Op>> shards;
+  std::vector<std::vector<ReplayOp>> shards;
   const std::uint64_t ops =
       partition_replay_ops(layout, trace, array_pages, threads, shards);
   std::vector<std::thread> workers;
@@ -181,7 +181,7 @@ ConcurrentReplayResult run_concurrent_trace(ConcurrentCache& cache,
   for (unsigned t = 0; t < threads; ++t) {
     workers.emplace_back([&cache, &shards, t, seed] {
       Page buf = make_page();
-      for (const Op& op : shards[t]) {
+      for (const ReplayOp& op : shards[t]) {
         if (op.is_read) {
           KDD_CHECK(cache.read(op.lba, buf) == IoStatus::kOk);
         } else {
@@ -200,88 +200,50 @@ ConcurrentReplayResult run_concurrent_trace(ConcurrentCache& cache,
   return result;
 }
 
-ConcurrentReplayResult run_concurrent_trace_async(
-    ConcurrentCache& cache, const RaidLayout& layout, const Trace& trace,
-    std::uint64_t array_pages, unsigned threads, std::uint64_t seed,
-    unsigned queue_depth) {
-  KDD_CHECK(array_pages > 0);
-  KDD_CHECK(threads > 0);
-  KDD_CHECK(queue_depth > 0);
-  KDD_CHECK(cache.async_started());
-  std::vector<std::vector<ReplayOp>> shards;
-  const std::uint64_t ops =
-      partition_replay_ops(layout, trace, array_pages, threads, shards);
-  std::vector<std::thread> submitters;
-  submitters.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    submitters.emplace_back([&cache, &shards, t, seed, queue_depth] {
-      // Bounded slot pool: at most queue_depth requests from this submitter
-      // are outstanding, and read targets stay pinned until completion.
-      // Write payloads are copied by submit_write, but the slot still rides
-      // to completion so the depth bound covers both kinds.
-      std::vector<Page> slots(queue_depth, make_page());
-      std::vector<unsigned> free_slots(queue_depth);
-      for (unsigned i = 0; i < queue_depth; ++i) free_slots[i] = i;
-      std::mutex mu;
-      std::condition_variable cv;
-      unsigned outstanding = 0;
-      for (const ReplayOp& op : shards[t]) {
-        unsigned slot;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return !free_slots.empty(); });
-          slot = free_slots.back();
-          free_slots.pop_back();
-          ++outstanding;
-        }
-        auto done = [&mu, &cv, &free_slots, &outstanding, slot](IoStatus st) {
-          KDD_CHECK(st == IoStatus::kOk);
-          const std::lock_guard<std::mutex> lock(mu);
-          free_slots.push_back(slot);
-          --outstanding;
-          cv.notify_all();
-        };
-        if (op.is_read) {
-          KDD_CHECK(cache.submit_read(op.lba, slots[slot], std::move(done)));
-        } else {
-          fill_replay_page(op.lba, op.version, seed, slots[slot]);
-          KDD_CHECK(cache.submit_write(op.lba, slots[slot], std::move(done)));
-        }
-      }
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return outstanding == 0; });
-    });
-  }
-  for (std::thread& w : submitters) w.join();
-  cache.drain_async();
-  cache.flush();
-  ConcurrentReplayResult result;
-  result.stats = cache.stats();
-  result.front = cache.front_stats();
-  result.ops = ops;
-  return result;
-}
-
 std::uint64_t replay_readback_digest(ConcurrentCache& cache,
                                      std::uint64_t array_pages) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  std::uint64_t h = kern::kPageHashSeed;
   Page buf = make_page();
   for (Lba lba = 0; lba < array_pages; ++lba) {
     KDD_CHECK(cache.read(lba, buf) == IoStatus::kOk);
-    for (const std::uint8_t b : buf) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
+    h = kern::page_hash(h, buf);
   }
   return h;
 }
 
+std::optional<double> parse_experiment_scale(const char* text) {
+  const std::optional<double> v = cli::parse_double(text, 0.0, 1.0);
+  if (!v || *v == 0.0) return std::nullopt;
+  return v;
+}
+
+std::optional<std::size_t> parse_sweep_threads(const char* text, unsigned hw_threads) {
+  const std::optional<std::uint64_t> v = cli::parse_u64(text, 1);
+  if (!v) return std::nullopt;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(*v, std::max(hw_threads, 1u)));
+}
+
 double experiment_scale(double fallback) {
-  if (const char* env = std::getenv("KDD_SCALE")) {
-    const double v = std::atof(env);
-    if (v > 0.0 && v <= 1.0) return v;
+  const char* env = std::getenv("KDD_SCALE");
+  if (env == nullptr || *env == '\0') return fallback;
+  const std::optional<double> v = parse_experiment_scale(env);
+  if (!v) {
+    std::fprintf(stderr, "KDD_SCALE=%s: expected a number in (0, 1]\n", env);
+    std::exit(2);
   }
-  return fallback;
+  return *v;
+}
+
+std::size_t sweep_threads() {
+  const char* env = std::getenv("KDD_SWEEP_THREADS");
+  if (env == nullptr || *env == '\0') return 1;
+  const std::optional<std::size_t> v =
+      parse_sweep_threads(env, std::thread::hardware_concurrency());
+  if (!v) {
+    std::fprintf(stderr, "KDD_SWEEP_THREADS=%s: expected a whole number >= 1\n", env);
+    std::exit(2);
+  }
+  return *v;
 }
 
 }  // namespace kdd

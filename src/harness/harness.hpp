@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,26 +70,31 @@ ConcurrentReplayResult run_concurrent_trace(ConcurrentCache& cache,
                                             std::uint64_t array_pages,
                                             unsigned threads, std::uint64_t seed);
 
-/// Same replay through the async submit/complete path. The cache's engine
-/// must be started (start_async). Each submitter keeps at most `queue_depth`
-/// requests outstanding via a bounded slot pool; per-LBA order still holds
-/// because one submitter owns each parity group and shard queues are FIFO.
-ConcurrentReplayResult run_concurrent_trace_async(
-    ConcurrentCache& cache, const RaidLayout& layout, const Trace& trace,
-    std::uint64_t array_pages, unsigned threads, std::uint64_t seed,
-    unsigned queue_depth);
-
-/// FNV-1a digest of the logical address space [0, array_pages) read back
-/// through the cache — the "byte-identical final state" check for the
-/// multi-threaded replay mode.
+/// kern::page_hash digest of the logical address space [0, array_pages)
+/// read back through the cache — the "byte-identical final state" check for
+/// the multi-threaded replay mode.
 std::uint64_t replay_readback_digest(ConcurrentCache& cache,
                                      std::uint64_t array_pages);
 
-/// Experiment scale factor: reads KDD_SCALE from the environment (default
-/// `fallback`), clamped to (0, 1]. Shrinks trace footprints/request counts
+/// KDD_SCALE's value parsed strictly: a finite decimal number in (0, 1] with
+/// nothing after it, else nullopt.
+std::optional<double> parse_experiment_scale(const char* text);
+
+/// KDD_SWEEP_THREADS's value parsed strictly: a decimal integer >= 1 with
+/// nothing after it, capped at `hw_threads` (at least 1), else nullopt.
+std::optional<std::size_t> parse_sweep_threads(const char* text, unsigned hw_threads);
+
+/// Experiment scale factor: KDD_SCALE from the environment, `fallback` when
+/// it is unset or empty. Shrinks trace footprints/request counts
 /// proportionally so benches finish quickly; EXPERIMENTS.md records the
-/// scale each table was produced at.
+/// scale each table was produced at. A malformed value prints a message and
+/// exits 2.
 double experiment_scale(double fallback = 0.25);
+
+/// Sweep-point parallelism of the figure benches: KDD_SWEEP_THREADS from the
+/// environment, capped at the host's hardware threads; 1 (fully serial)
+/// when it is unset or empty. A malformed value prints a message and exits 2.
+std::size_t sweep_threads();
 
 /// The three content-locality levels the paper evaluates (KDD-50 %, -25 %,
 /// -12 % mean delta compression ratios).

@@ -24,48 +24,12 @@
 // mutex. The idle clock and the front-door counters are atomics so neither
 // the hot request path nor stats() takes any extra lock for them.
 //
-// Cleaner pool (optional, cleaner_threads > 0 and a DestageSource policy):
-// the idle cleaner becomes a *feeder* that claims dirty parity groups under
-// the policy lock, partitions them into per-stripe work queues, and N worker
-// threads drive the three-stage destage pipeline (kdd/destage.hpp) per job:
-//
-//   stripe lock -> [policy lock: prepare] -> fold (NO policy lock)
-//               -> [policy lock: commit]  -> stripe unlock
-//
-// Holding the job's stripe lock across all three stages freezes foreground
-// requests to the claimed groups, so prepare's snapshot stays describable by
-// commit's revalidation; releasing the policy lock for fold() is where the
-// parallelism comes from — the XOR/decompress compute of up to N batches
-// overlaps with each other and with foreground requests on other stripes.
-// Workers prefer jobs from their home stripe range and steal from the rest.
-// In-flight work is bounded (the feeder refills only while fewer than
-// `threads` jobs are outstanding); flush() pauses refills, drains the queues
-// to a deterministic barrier, then runs the policy's own flush inline.
-//
-// Lock order with the pool: feeder takes policy -> queue; workers take
-// queue (released) -> stripe -> policy. Nobody holds queue while waiting on
-// stripe/policy in the other direction, so the order is acyclic.
-//
-// Async request engine (optional, start_async()): submitters enqueue
-// outstanding-request contexts into per-shard submission queues (shard ==
-// front-lock stripe) and return immediately; engine workers claim a shard,
-// drain its queue FIFO and execute each request through the same
-// stripe -> policy path as the sync front door, completing via callback.
-// One worker per shard at a time plus FIFO drain preserves the per-parity-
-// group total order the deterministic replay relies on. Admission control
-// bounds the damage of deep client queue depths: per-shard queues are
-// bounded, and a global high watermark closes the submission gate until
-// completions bring the total outstanding back under the low watermark
-// (submit() blocks, try_submit() rejects). See docs/performance.md.
-//
-// On write hits the engine — and the sync front door — splits the request
-// through the policy's SpeculativeWriteSource hook when it implements one:
+// On write hits the front door splits the request through the policy's
+// SpeculativeWriteSource hook when it implements one (kdd/request_engine.hpp):
 // snapshot the delta base under the policy mutex, LZ-compress the delta with
 // the mutex RELEASED (only the request's stripe lock held), then revalidate
 // and commit under the mutex. The compression is the dominant per-request
-// CPU cost, so this is what lets N submitters/workers scale past the single
-// policy mutex. The engine's locks (amu_) are leaf: never held while taking
-// stripe/policy, and vice versa never needed by the sync path.
+// CPU cost, so this is the part of a write that overlaps across submitters.
 #pragma once
 
 #include <array>
@@ -73,15 +37,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "cache/policy.hpp"
 #include "common/bytes.hpp"
-#include "kdd/destage.hpp"
 #include "kdd/request_engine.hpp"
 #include "raid/layout.hpp"
 
@@ -106,25 +66,14 @@ class ConcurrentCache {
     std::uint64_t flushes = 0;
   };
 
-  /// `policy` is not owned and must outlive the facade. `idle_wakeup` is the
-  /// cleaner's polling period; an idle pass runs when no request arrived for
-  /// one full period. Without a layout, stripes are keyed by raw LBA.
-  explicit ConcurrentCache(CachePolicy* policy,
-                           std::chrono::milliseconds idle_wakeup =
-                               std::chrono::milliseconds(50));
-
-  /// Stripe-aware overload: front locks are keyed by `layout->group_of(lba)`
-  /// so every request touching one parity group funnels through one stripe.
-  /// `layout` is not owned and must outlive the facade.
-  ///
-  /// `cleaner_threads` > 0 starts the parallel cleaner pool *if* the policy
-  /// implements DestageSource (KDD does); the policy's own inline watermark
-  /// cleaning is rerouted to the pool via set_external_cleaner. Policies
-  /// without a DestageSource silently fall back to the single idle cleaner.
+  /// `policy` is not owned and must outlive the facade. Front locks are
+  /// keyed by `layout->group_of(lba)` so every request touching one parity
+  /// group funnels through one stripe; `layout` is not owned either.
+  /// `idle_wakeup` is the cleaner's polling period; an idle pass runs when
+  /// no request arrived for one full period.
   ConcurrentCache(CachePolicy* policy, const RaidLayout* layout,
                   std::chrono::milliseconds idle_wakeup =
-                      std::chrono::milliseconds(50),
-                  std::uint32_t cleaner_threads = 0);
+                      std::chrono::milliseconds(50));
 
   ~ConcurrentCache();
 
@@ -134,53 +83,14 @@ class ConcurrentCache {
   IoStatus read(Lba lba, std::span<std::uint8_t> out);
   IoStatus write(Lba lba, std::span<const std::uint8_t> data);
 
-  /// Drains all deferred state (blocking): outstanding async requests first,
-  /// then the cleaner pool's drain barrier and the policy's own flush.
+  /// Drains all deferred state (blocking): the policy's own flush.
   void flush();
 
-  // -- Async submission/completion engine -----------------------------------
-
-  /// Starts the engine (once; opts.workers >= 1). Until then submit_* must
-  /// not be called; the sync read()/write() front door works either way.
-  void start_async(const AsyncEngineOptions& opts);
-  bool async_started() const { return !engine_workers_.empty(); }
-
-  /// Enqueues a request and returns; `cb` fires exactly once on an engine
-  /// worker once the request executed. Blocks while the target shard queue
-  /// is full or the global high watermark has closed the gate; returns false
-  /// only when submissions are quiesced (cb is then never invoked). `out`
-  /// must stay alive until completion; `data` is copied at submit time.
-  bool submit_read(Lba lba, std::span<std::uint8_t> out, AsyncCompletion cb);
-  bool submit_write(Lba lba, std::span<const std::uint8_t> data,
-                    AsyncCompletion cb);
-
-  /// Non-blocking variants: false (and kdd_admission_rejected_total) when
-  /// the shard queue is full, the gate is closed, or submissions are
-  /// quiesced. The callback is never invoked on rejection.
-  bool try_submit_read(Lba lba, std::span<std::uint8_t> out, AsyncCompletion cb);
-  bool try_submit_write(Lba lba, std::span<const std::uint8_t> data,
-                        AsyncCompletion cb);
-
-  /// Blocks until every accepted submission has completed. Does not stop new
-  /// submissions — callers wanting a stable zero quiesce first.
-  void drain_async();
-
-  /// Quiesce discipline (destructor, handle_disk_failure_online): reject new
-  /// submissions, then wait for all in-flight requests to complete. Balanced
-  /// by resume_submissions(); nestable (a counter, not a flag).
-  void quiesce_submissions();
-  void resume_submissions();
-
-  /// Engine lifetime counters (relaxed reads; inflight is exact only after a
-  /// drain). All zero when the engine was never started.
-  AsyncEngineStats async_stats() const;
-
-  /// Online disk-failure handler for async/sync mixed operation: quiesces the
-  /// submission queues (reject new, complete in-flight), hands the failure to
-  /// the policy's rebuild engine — its stripe barrier then runs against a
-  /// quiesced front end — and resumes submissions. Requires a KddCache policy
-  /// with a bound RebuildEngine. Returns what the engine's on_disk_failure
-  /// returned (false: no spare, array stays degraded).
+  /// Online disk-failure handler: under the policy mutex, seals the open
+  /// staging segment and hands the failure to the policy's rebuild engine,
+  /// whose stripe barrier then sees a settled dirty-group map. Requires a
+  /// KddCache policy with a bound RebuildEngine. Returns what the engine's
+  /// on_disk_failure returned (false: no spare, array stays degraded).
   bool handle_disk_failure_online(std::uint32_t disk);
 
   /// Exact policy stats (takes the policy mutex; waits for in-flight
@@ -200,13 +110,6 @@ class ConcurrentCache {
   /// Number of idle passes the cleaner has run.
   std::uint64_t cleaner_passes() const { return cleaner_passes_.load(); }
 
-  /// Pool introspection: worker count (0 = pool disabled) and destage
-  /// batches committed by pool workers since construction.
-  std::size_t pool_threads() const { return pool_.size(); }
-  std::uint64_t pool_batches() const {
-    return pool_batches_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Per-stripe front-door counters, cache-line separated so the 16 stripes
   /// never false-share while recording.
@@ -217,60 +120,15 @@ class ConcurrentCache {
     std::atomic<std::uint64_t> write_errors{0};
   };
 
-  /// One stripe's worth of claimed parity groups, processed by one worker
-  /// under that stripe's front lock.
-  struct DestageJob {
-    std::size_t stripe = 0;
-    std::vector<GroupId> groups;
-  };
-
-  /// One outstanding async request. Write payloads are owned copies (the
-  /// submitter's buffer is reusable the moment submit returns); read outputs
-  /// are caller-owned spans that must outlive the completion.
-  struct AsyncRequest {
-    Lba lba = 0;
-    bool is_read = false;
-    std::span<std::uint8_t> out{};
-    Page payload;
-    AsyncCompletion cb;
-    std::chrono::steady_clock::rep enqueue_ns = 0;
-  };
-
   void cleaner_main();
   std::size_t stripe_of(Lba lba) const;
-  std::size_t stripe_of_group(GroupId g) const;
   void touch_idle_clock();
-  /// Executes one request under stripe -> policy locking (the shared body of
-  /// the sync front door and the engine workers). exec_write routes through
-  /// the policy's SpeculativeWriteSource hook when available.
-  IoStatus exec_read(Lba lba, std::span<std::uint8_t> out);
-  IoStatus exec_write(Lba lba, std::span<const std::uint8_t> data);
-  /// Common submit path; `block` selects submit() vs try_submit() semantics.
-  bool submit_request(AsyncRequest&& rq, bool block);
-  /// First claimable shard (not busy, non-empty) starting at `home`;
-  /// kStripes if none. Caller holds amu_.
-  std::size_t claimable_shard(std::size_t home) const;
-  void engine_main(std::size_t worker);
   /// Copies the policy's stats into the lock-free snapshot slot. Caller must
   /// hold mu_.
   void publish_snapshot_locked() const;
 
-  // -- Cleaner pool ---------------------------------------------------------
-  /// Feeder step: claims dirty groups and queues per-stripe jobs. Caller
-  /// must hold mu_ (takes queue_mu_ inside: lock order policy -> queue).
-  /// `force` claims even below the high watermark (idle-triggered drain).
-  void refill_pool_locked(bool force);
-  /// Worker loop: pop (home range first, then steal), run the pipeline.
-  void pool_main(std::size_t worker);
-  /// Runs one job: stripe lock, prepare under mu_, fold unlocked, commit
-  /// under mu_.
-  void run_destage_job(const DestageJob& job);
-  /// Wakes the feeder immediately when deferred work passed the watermark
-  /// (callers: write path, after releasing mu_).
-  void nudge_feeder();
-
   CachePolicy* policy_;
-  const RaidLayout* layout_;  // may be null: stripe by raw LBA
+  const RaidLayout* layout_;
   /// The policy's speculative-write hook (null: no speculation). Resolved
   /// once at construction; KddCache implements it in prototype mode.
   SpeculativeWriteSource* spec_ = nullptr;
@@ -296,44 +154,6 @@ class ConcurrentCache {
   std::atomic<std::chrono::steady_clock::rep> last_request_ns_;
 
   std::atomic<std::uint64_t> cleaner_passes_{0};
-
-  // Cleaner pool state. queue_mu_ guards the queues and the job counters;
-  // it is strictly *inner* to mu_ for the feeder and never held while a
-  // worker acquires stripe/policy locks.
-  DestageSource* destage_ = nullptr;  ///< policy as DestageSource (may be null)
-  std::size_t pool_size_ = 0;  ///< set before any worker starts (stable)
-  std::mutex queue_mu_;
-  std::array<std::deque<DestageJob>, kStripes> queues_;
-  std::size_t queued_jobs_ = 0;
-  std::size_t inflight_jobs_ = 0;
-  bool pool_stop_ = false;
-  std::condition_variable queue_cv_;  ///< workers: work available / stop
-  std::condition_variable drain_cv_;  ///< flush: queues empty && none inflight
-  std::atomic<int> refill_pause_{0};  ///< >0: flush draining, feeder holds off
-  std::atomic<std::uint64_t> pool_batches_{0};
-  std::vector<std::thread> pool_;
-
-  // Async engine state. amu_ guards the submission queues, the shard-busy
-  // flags and the admission counters; it is a LEAF lock (never held while
-  // acquiring stripe/policy/queue locks). The gate bool implements the
-  // high/low watermark hysteresis; quiesce is a counter so nested quiesce
-  // sections (drill rigs) compose.
-  AsyncEngineOptions aopts_;
-  std::mutex amu_;
-  std::condition_variable submit_cv_;       ///< submitters: space / gate open
-  std::condition_variable engine_cv_;       ///< workers: work available / stop
-  std::condition_variable async_drain_cv_;  ///< drain/quiesce: inflight == 0
-  std::array<std::deque<AsyncRequest>, kStripes> async_q_;
-  std::array<bool, kStripes> shard_busy_{};  ///< claimed by a worker
-  std::size_t async_inflight_ = 0;           ///< queued + executing
-  bool gate_closed_ = false;
-  int quiesced_ = 0;
-  bool engine_stop_ = false;
-  std::atomic<std::uint64_t> async_submitted_{0};
-  std::atomic<std::uint64_t> async_completed_{0};
-  std::atomic<std::uint64_t> async_rejected_{0};
-  std::atomic<std::uint64_t> async_stalls_{0};
-  std::vector<std::thread> engine_workers_;
 
   std::thread cleaner_;  // last member: starts after everything is ready
 };

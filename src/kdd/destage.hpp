@@ -1,94 +1,70 @@
-// Destage-engine seam between a cache policy and the parallel cleaner pool.
+// KDD's batched destage pipeline (Section III-D). The cleaner repairs stale
+// parity in batches of parity groups, each batch passing four stages that
+// are public KddCache members:
 //
-// KDD's deferred parity work (Section III-D) is a three-stage pipeline:
-//
-//   1. prepare  — snapshot the dirty groups' delta sources (NVRAM staged
-//                 blobs, DEZ-resident packed deltas) into a self-contained
-//                 work unit. Touches policy state: runs under the policy
-//                 lock.
-//   2. fold     — decompress every delta and accumulate the raw per-member
-//                 XOR diffs. Pure compute over the snapshot: runs with NO
-//                 policy lock, which is exactly what the cleaner pool
-//                 parallelises across workers.
-//   3. commit   — fold the accumulated diffs into the stale parity with one
+//   1. claim    — pick the k least recently written dirty groups and sort
+//                 them into disk-layout order (parity disk, then parity
+//                 page): recency picks the victims, so groups still being
+//                 rewritten stay cached, and the batch walks each spindle
+//                 sequentially.
+//   2. prepare  — snapshot the groups' delta sources (NVRAM staged blobs,
+//                 DEZ-resident packed deltas) and, for groups whose every
+//                 data member is cached, the member images into a BatchUnit.
+//   3. fold     — decompress every delta and accumulate the raw per-member
+//                 XOR diffs. Pure compute over the snapshot: touches no
+//                 cache state.
+//   4. commit   — fold the accumulated diffs into the stale parity with one
 //                 batched RMW (one parity read + one XOR-accumulate + one
 //                 parity write per group) and reclaim the old/DEZ pages.
-//                 Touches policy + RAID state: runs under the policy lock.
 //
-// The pool claims groups (destage_claim) before queueing them so that the
-// policy's own inline/idle cleaning passes skip in-flight groups; commit or
-// abandon releases the claim. Between prepare and commit the caller must
-// hold whatever lock serialises foreground requests to the claimed groups
-// (ConcurrentCache holds the group's striped front lock across all three
-// stages); commit revalidates every page against live slot state anyway, so
-// pages resolved behind the pipeline's back (e.g. the emergency synchronous
-// fold in commit_staging) are skipped, never double-applied.
+// KddCache::destage_batch_once runs the four back to back from the cache's
+// own cleaning passes (watermark, idle, flush); tests drive them by hand.
+// Commit revalidates every captured page against live slot state, so a page
+// resolved between prepare and commit is skipped, never double-applied.
 #pragma once
 
-#include <cstddef>
-#include <memory>
-#include <span>
+#include <cstdint>
 #include <vector>
 
-#include "raid/io_plan.hpp"
+#include "common/bytes.hpp"
+#include "compress/delta.hpp"
 #include "raid/layout.hpp"
 
 namespace kdd {
 
-/// Opaque, self-contained destage work unit produced by destage_prepare.
-/// fold() is thread-safe with respect to the producing policy: it touches
-/// only the snapshot captured at prepare time.
-class DestageUnit {
- public:
-  virtual ~DestageUnit() = default;
+/// Self-contained destage work unit produced by KddCache::destage_prepare:
+/// per-group captured deltas (RMW flavour) or member images (reconstruct
+/// flavour) plus the raw XOR diffs fold() produces.
+struct BatchUnit {
+  struct PageWork {
+    std::uint32_t daz_idx = 0;
+    Lba lba = kInvalidLba;
+    std::uint32_t index = 0;  ///< data index within the parity group
+    Delta blob;               ///< delta captured at prepare (real mode)
+    Page xor_diff;            ///< raw XOR diff, produced by fold()
+    bool have_blob = false;
+  };
+  /// Reconstruct flavour only: one entry per data member of the stripe.
+  struct MemberWork {
+    std::uint32_t slot = 0;
+    Page image;      ///< DAZ image captured at prepare (real mode)
+    bool ok = false; ///< readable; when false the array reads the disk copy
+  };
+  struct GroupWork {
+    GroupId group = 0;
+    bool reconstruct = false;  ///< all members cached: reconstruct-write
+    bool needs_heal = false;   ///< a delta was unloadable: commit heals
+    std::vector<PageWork> pages;      ///< every old page of the group
+    std::vector<MemberWork> members;  ///< reconstruct flavour, size data_disks
+  };
 
-  /// Stage 2: decompress + XOR-fold every captured delta. Requires no lock.
-  virtual void fold() = 0;
+  /// Stage 3: decompresses every captured delta into its raw XOR diff; for
+  /// reconstruct-flavour groups also folds each diff into its member image
+  /// (DAZ base ^ raw XOR == current version).
+  void fold();
 
-  /// Parity groups covered by this unit (claimed until commit/abandon).
-  virtual std::span<const GroupId> groups() const = 0;
-};
-
-/// Implemented by policies (KDD) whose background cleaning the
-/// ConcurrentCache cleaner pool can drive. All methods except
-/// DestageUnit::fold must be called under the policy lock.
-class DestageSource {
- public:
-  virtual ~DestageSource() = default;
-
-  /// Claims the (up to) `max_groups` least recently written dirty, unclaimed
-  /// parity groups and returns them in disk-layout order (parity disk, then
-  /// parity page): recency picks the victims, so groups still being
-  /// rewritten stay cached, and a batch issued in layout order walks each
-  /// spindle sequentially. Claimed groups are skipped by the policy's own
-  /// cleaning passes until released.
-  virtual std::vector<GroupId> destage_claim(std::size_t max_groups) = 0;
-
-  /// Stage 1: snapshots the delta sources of `groups` (all must be claimed).
-  /// Returns null when none of the groups has pending work any more (their
-  /// claims are released). Groups whose deltas cannot be loaded are marked
-  /// for healing inside the unit; commit performs the heal.
-  virtual std::unique_ptr<DestageUnit> destage_prepare(
-      std::span<const GroupId> groups, IoPlan* plan) = 0;
-
-  /// Stage 3: batched parity RMW + reclaim + claim release for every group
-  /// in the unit. Revalidates each captured page against live slot state.
-  virtual void destage_commit(DestageUnit& unit, IoPlan* plan) = 0;
-
-  /// Releases claims without destaging (pool shutdown, prepare skipped).
-  virtual void destage_abandon(std::span<const GroupId> groups) = 0;
-
-  /// True when deferred work exceeds the cleaning high watermark — the
-  /// pool's wake-up signal.
-  virtual bool destage_pending() const = 0;
-
-  /// Preferred groups-per-batch (the policy's watermark-gap autosize). A
-  /// pool claims about hint * workers groups per refill.
-  virtual std::size_t destage_batch_hint() const { return 8; }
-
-  /// Routes the policy's watermark cleaning to an external driver: inline
-  /// maybe_clean passes become no-ops and the pool owns destage entirely.
-  virtual void set_external_cleaner(bool external) = 0;
+  std::vector<GroupWork> work;  ///< one entry per group, in claim order
+  bool real = false;            ///< prototype mode: blobs and images are real
 };
 
 }  // namespace kdd

@@ -176,12 +176,6 @@ bool KddCache::destage_range(GroupId begin, GroupId end, IoPlan* plan) {
   bool all_clear = true;
   for (const GroupId g : in_range) {
     if (!dirty_groups_.contains(g)) continue;  // cleaned by an earlier fold
-    if (claimed_groups_.contains(g)) {
-      // In-flight destage claim (cleaner pool): the claim owner will fold it;
-      // tell the engine to retry this window on the next pump.
-      all_clear = false;
-      continue;
-    }
     if (!clean_group(g, plan)) all_clear = false;
   }
   // Stripe barrier contract: the rebuild engine is about to trust the SSD
@@ -736,7 +730,7 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
     // group's pending deltas — parity becomes current — and retry the
     // reconstructing read.
     const GroupId g = raid_.layout().group_of(lba);
-    if (dirty_groups_.contains(g) && !claimed_groups_.contains(g)) {
+    if (dirty_groups_.contains(g)) {
       clean_group(g, plan);
       st = raid_.read_page(lba, out, plan);
       if (st == IoStatus::kOk) {
@@ -771,7 +765,7 @@ IoStatus KddCache::degraded_write_page(Lba lba, std::span<const std::uint8_t> da
     // reconstruction. Fold the group's pending deltas — parity becomes
     // current, reconstruction becomes safe — and retry.
     const GroupId g = raid_.layout().group_of(lba);
-    if (dirty_groups_.contains(g) && !claimed_groups_.contains(g)) {
+    if (dirty_groups_.contains(g)) {
       clean_group(g, plan);
       st = raid_.write_page(lba, data, plan);
       if (st == IoStatus::kOk) {
@@ -865,10 +859,7 @@ bool KddCache::read_row_mates(Lba lba, ScratchPages& images,
     if (sets_.find_data(set, layout.group_member(g, k)) != CacheSets::kNone) ++resident;
   }
   if (!geo.prefers_reconstruct_write(resident)) return false;
-  // A down member sends the write down the array's general path, and a
-  // claimed group's parity is about to be rewritten from the destage's own
-  // snapshot: both keep the conventional write.
-  if (claimed_groups_.contains(g)) return false;
+  // A down member sends the write down the array's general path.
   if (raid_.real() && raid_.array()->group_has_failed_member(g)) return false;
 
   acquire_scratch_pages(images.vec(), dd);
@@ -1016,7 +1007,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     // page's previous version is still encoded in the stale parity), then
     // write through conventionally and re-admit the newest version.
     const GroupId g = raid_.layout().group_of(lba);
-    if (dirty_groups_.contains(g) && !claimed_groups_.contains(g)) {
+    if (dirty_groups_.contains(g)) {
       clean_group(g, plan);
       ++degraded_delta_folds_;
       kdd_metrics().degraded_delta_folds.inc();
@@ -1127,7 +1118,7 @@ IoStatus KddCache::write_prepared(Lba lba, std::span<const std::uint8_t> data,
 // ---------------------------------------------------------------------------
 
 void KddCache::maybe_clean(IoPlan* plan) {
-  if (cleaning_ || external_cleaner_) return;
+  if (cleaning_) return;
   const std::uint64_t high = effective_clean_high_pages();
   if (old_pages_ + dez_pages_ <= high) return;
   cleaning_ = true;
@@ -1147,8 +1138,7 @@ void KddCache::clean_all(IoPlan* plan) {
   cleaning_ = true;
   // No kClean span here: the callers (on_idle, flush, failure handling)
   // install the root that attributes this pass.
-  while (!dirty_groups_.empty() &&
-         claimed_groups_.size() < dirty_groups_.size()) {
+  while (!dirty_groups_.empty()) {
     if (!destage_batch_once(plan)) break;
   }
   cleaning_ = false;
@@ -1157,7 +1147,7 @@ void KddCache::clean_all(IoPlan* plan) {
 bool KddCache::destage_batch_once(IoPlan* plan) {
   const std::vector<GroupId> groups = destage_claim(destage_batch_size());
   if (groups.empty()) return false;
-  std::unique_ptr<DestageUnit> unit = destage_prepare(groups, plan);
+  std::unique_ptr<BatchUnit> unit = destage_prepare(groups, plan);
   if (!unit) return false;
   unit->fold();
   destage_commit(*unit, plan);
@@ -1307,63 +1297,27 @@ bool KddCache::clean_group(GroupId g, IoPlan* plan) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched destage pipeline (DestageSource; see kdd/destage.hpp)
+// Batched destage pipeline (see kdd/destage.hpp)
 // ---------------------------------------------------------------------------
 
-/// Self-contained destage work unit. `prepare` snapshots everything fold()
-/// needs — captured Delta blobs and, for reconstruct-flavour groups, the DAZ
-/// member images — so fold() runs with no policy lock and no access to live
-/// cache state. Commit revalidates each captured page before acting on it.
-class KddCache::BatchUnit final : public DestageUnit {
- public:
-  struct PageWork {
-    std::uint32_t daz_idx = 0;
-    Lba lba = kInvalidLba;
-    std::uint32_t index = 0;  ///< data index within the parity group
-    Delta blob;               ///< delta captured at prepare (real mode)
-    Page xor_diff;            ///< raw XOR diff, produced by fold()
-    bool have_blob = false;
-  };
-  /// Reconstruct flavour only: one entry per data member of the stripe.
-  struct MemberWork {
-    std::uint32_t slot = 0;
-    Page image;      ///< DAZ image captured at prepare (real mode)
-    bool ok = false; ///< readable; when false the array reads the disk copy
-  };
-  struct GroupWork {
-    GroupId group = 0;
-    bool reconstruct = false;  ///< all members cached: reconstruct-write
-    bool needs_heal = false;   ///< a delta was unloadable: commit heals
-    std::vector<PageWork> pages;      ///< every old page of the group
-    std::vector<MemberWork> members;  ///< reconstruct flavour, size data_disks
-  };
-
-  /// Stage 2 — pure compute over the snapshot, no lock: decompress every
-  /// captured delta into its raw XOR diff; for reconstruct-flavour groups
-  /// additionally fold each diff into its member image (DAZ base ^ raw XOR ==
-  /// current version).
-  void fold() override {
-    const obs::SpanScope span(obs::Stage::kXorFold);
-    if (!real_) return;
-    for (GroupWork& gw : work_) {
-      if (gw.needs_heal) continue;
-      for (PageWork& pw : gw.pages) {
-        if (!pw.have_blob) continue;
-        pw.xor_diff = make_page();
-        KDD_CHECK(delta_to_xor_into(pw.blob, pw.xor_diff));
-        if (gw.reconstruct && gw.members[pw.index].ok) {
-          xor_into(gw.members[pw.index].image, pw.xor_diff);
-        }
+// Pure compute over the snapshot prepare captured — delta blobs and, for
+// reconstruct-flavour groups, the DAZ member images — with no access to
+// live cache state.
+void BatchUnit::fold() {
+  const obs::SpanScope span(obs::Stage::kXorFold);
+  if (!real) return;
+  for (GroupWork& gw : work) {
+    if (gw.needs_heal) continue;
+    for (PageWork& pw : gw.pages) {
+      if (!pw.have_blob) continue;
+      pw.xor_diff = make_page();
+      KDD_CHECK(delta_to_xor_into(pw.blob, pw.xor_diff));
+      if (gw.reconstruct && gw.members[pw.index].ok) {
+        xor_into(gw.members[pw.index].image, pw.xor_diff);
       }
     }
   }
-
-  std::span<const GroupId> groups() const override { return groups_; }
-
-  std::vector<GroupId> groups_;
-  std::vector<GroupWork> work_;
-  bool real_ = false;
-};
+}
 
 std::size_t KddCache::destage_batch_size() const {
   if (config_.destage_batch_groups > 0) return config_.destage_batch_groups;
@@ -1379,21 +1333,15 @@ std::size_t KddCache::destage_batch_size() const {
   return std::clamp<std::size_t>(static_cast<std::size_t>(gap / 4), 4, 64);
 }
 
-bool KddCache::destage_pending() const {
-  const std::uint64_t high = effective_clean_high_pages();
-  return old_pages_ + dez_pages_ > high &&
-         claimed_groups_.size() < dirty_groups_.size();
-}
-
-std::vector<GroupId> KddCache::destage_claim(std::size_t max_groups) {
+std::vector<GroupId> KddCache::destage_claim(std::size_t max_groups) const {
   std::vector<GroupId> batch;
   if (max_groups == 0) return batch;
-  // Victims by recency: the least recently written unclaimed groups. A group
-  // that is still being rewritten keeps its old pages cached, so its next
-  // writes stay delta hits instead of misses after a drop.
+  // Victims by recency: the least recently written groups. A group that is
+  // still being rewritten keeps its old pages cached, so its next writes
+  // stay delta hits instead of misses after a drop.
   batch.reserve(std::min(max_groups, dirty_groups_.size()));
   dirty_groups_.visit_coldest_first([&](GroupId g) {
-    if (!claimed_groups_.contains(g)) batch.push_back(g);
+    batch.push_back(g);
     return batch.size() < max_groups;
   });
   // Issue order: a batch destaged in (parity disk, parity page) order walks
@@ -1409,15 +1357,10 @@ std::vector<GroupId> KddCache::destage_claim(std::size_t max_groups) {
     }
     return a < b;
   });
-  for (const GroupId g : batch) claimed_groups_.insert(g);
   return batch;
 }
 
-void KddCache::destage_abandon(std::span<const GroupId> groups) {
-  for (const GroupId g : groups) claimed_groups_.erase(g);
-}
-
-std::unique_ptr<DestageUnit> KddCache::destage_prepare(
+std::unique_ptr<BatchUnit> KddCache::destage_prepare(
     std::span<const GroupId> groups, IoPlan* plan) {
   const obs::SpanScope span(obs::Stage::kDeltaLoad);
   const RaidLayout& layout = raid_.layout();
@@ -1425,15 +1368,9 @@ std::unique_ptr<DestageUnit> KddCache::destage_prepare(
   const bool real = ssd_.real();
 
   auto unit = std::make_unique<BatchUnit>();
-  unit->real_ = real;
+  unit->real = real;
   for (const GroupId g : groups) {
-    KDD_CHECK(claimed_groups_.contains(g));
-    if (!dirty_groups_.contains(g)) {
-      // Resolved behind the pipeline's back (emergency synchronous fold):
-      // nothing left to destage, release the claim.
-      claimed_groups_.erase(g);
-      continue;
-    }
+    if (!dirty_groups_.contains(g)) continue;  // nothing left to destage
     BatchUnit::GroupWork gw;
     gw.group = g;
     const std::uint32_t set = set_for(layout.group_member(g, 0));
@@ -1510,32 +1447,30 @@ std::unique_ptr<DestageUnit> KddCache::destage_prepare(
         }
       }
     }
-    unit->groups_.push_back(g);
-    unit->work_.push_back(std::move(gw));
+    unit->work.push_back(std::move(gw));
   }
-  if (unit->groups_.empty()) return nullptr;
+  if (unit->work.empty()) return nullptr;
   return unit;
 }
 
-void KddCache::destage_commit(DestageUnit& u, IoPlan* plan) {
-  auto& unit = static_cast<BatchUnit&>(u);
+void KddCache::destage_commit(BatchUnit& unit, IoPlan* plan) {
   const obs::SpanScope span(obs::Stage::kDestageWrite);
   const bool real = ssd_.real();
-  kdd_metrics().destage_batch_groups.observe(unit.groups_.size());
+  kdd_metrics().destage_batch_groups.observe(unit.work.size());
 
   // Pass 1 — revalidate against live slot state and update parity. Groups
-  // whose pages were all resolved behind the pipeline (no longer dirty) are
-  // skipped; individual pages resolved behind the pipeline are dropped from
-  // the group so their diff is never double-applied. Reconstruct-flavour
-  // groups commit one by one; RMW-flavour groups coalesce into a single
-  // batched call (one parity read + one fold + one parity write per group).
+  // no longer dirty are skipped; individual pages resolved since prepare
+  // are dropped from the group so their diff is never double-applied.
+  // Reconstruct-flavour groups commit one by one; RMW-flavour groups
+  // coalesce into a single batched call (one parity read + one fold + one
+  // parity write per group).
   std::vector<BatchUnit::GroupWork*> rmw_groups;
   std::vector<std::vector<GroupDelta>> rmw_deltas;  // stable inner buffers
   std::vector<BatchUnit::GroupWork*> reclaimable;
-  rmw_groups.reserve(unit.work_.size());
-  rmw_deltas.reserve(unit.work_.size());
-  reclaimable.reserve(unit.work_.size());
-  for (BatchUnit::GroupWork& gw : unit.work_) {
+  rmw_groups.reserve(unit.work.size());
+  rmw_deltas.reserve(unit.work.size());
+  reclaimable.reserve(unit.work.size());
+  for (BatchUnit::GroupWork& gw : unit.work) {
     if (!dirty_groups_.contains(gw.group)) continue;
     if (gw.needs_heal) {
       heal_group(gw.group, plan);
@@ -1640,7 +1575,6 @@ void KddCache::destage_commit(DestageUnit& u, IoPlan* plan) {
     ++stats_.groups_cleaned;
   }
 
-  for (const GroupId g : unit.groups_) claimed_groups_.erase(g);
   refresh_dez_gauges();
 }
 

@@ -1,23 +1,14 @@
-// Types for the asynchronous submission/completion request engine.
+// The speculative write split between the ConcurrentCache front door
+// (kdd/concurrent.hpp) and a policy (KddCache implements it).
 //
-// The synchronous front door (ConcurrentCache::read/write) runs every
-// request to completion on the submitter's thread, so submitter-side
-// throughput is bounded by the single policy mutex no matter how many
-// clients there are. The async engine decouples the two halves: a submitter
-// *enqueues* an outstanding-request context into a per-shard submission
-// queue and returns immediately; engine workers drain the shards, execute
-// each request under the usual stripe -> policy locking, and complete it
-// via callback. Admission control (bounded per-shard queues plus global
-// high/low watermarks) keeps deep client queue depths — the fig10/fig11
-// FIO sweeps go to QD=256 — from burying the cleaner pool in deferred work.
-//
-// This header holds the knobs and the optional policy-side hook; the engine
-// itself lives inside ConcurrentCache (kdd/concurrent.hpp), which owns the
-// queues, the workers and the completion bookkeeping.
+// The front door runs every request to completion on the submitter's thread
+// under the single policy mutex. This hook lets it hold that mutex only for
+// admission/placement decisions on a write hit: the expensive delta
+// computation (DAZ read-back diff + LZ compress, the dominant per-request
+// CPU cost) moves outside the lock.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "cache/policy.hpp"
@@ -25,42 +16,6 @@
 
 namespace kdd {
 
-/// Completion callback: invoked exactly once per accepted submission, on an
-/// engine worker thread, after the request executed. The read/write buffers
-/// handed to submit_read (output) must stay alive until the callback fires;
-/// write payloads are copied at submit time and may be reused immediately.
-using AsyncCompletion = std::function<void(IoStatus)>;
-
-/// Engine sizing and admission-control knobs.
-struct AsyncEngineOptions {
-  /// Worker threads draining the submission queues. 0 disables the engine
-  /// (submit_* then KDD_CHECK-fails; the sync front door is unaffected).
-  std::uint32_t workers = 0;
-  /// Bounded in-flight per shard: a submitter targeting a shard whose queue
-  /// holds this many requests blocks (submit) or is rejected (try_submit).
-  std::size_t shard_queue_depth = 64;
-  /// Global watermarks: at >= high total outstanding requests, submit()
-  /// blocks (and try_submit rejects) until completions bring the total back
-  /// under low. high must be > low > 0.
-  std::size_t high_watermark = 1024;
-  std::size_t low_watermark = 512;
-};
-
-/// Lock-free-ish counters describing the engine's lifetime activity,
-/// sampled without stopping the workers.
-struct AsyncEngineStats {
-  std::uint64_t submitted = 0;   ///< accepted submissions
-  std::uint64_t completed = 0;   ///< completions fired
-  std::uint64_t rejected = 0;    ///< try_submit refusals + quiesced submits
-  std::uint64_t stalls = 0;      ///< submit() calls that had to block
-  std::uint64_t inflight = 0;    ///< submitted - completed at sample time
-};
-
-/// Optional policy-side hook that lets the engine (and the sync front door)
-/// hold the policy mutex only for admission/placement decisions: the
-/// expensive write-hit delta computation (DAZ read-back diff + LZ compress,
-/// the dominant per-request CPU cost) moves outside the lock.
-///
 /// Protocol, always under the request's stripe lock (which serialises every
 /// request of the parity group, so the slot's contents cannot change under
 /// the speculation — see docs/performance.md):

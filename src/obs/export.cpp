@@ -30,9 +30,6 @@ const char* help_for(std::string_view family) {
       {"kdd_span_stage_count", "closed spans per pipeline stage"},
       {"kdd_array_state", "ArrayHealth: 0 healthy, 1 degraded, 2 rebuilding"},
       {"kdd_rebuild_progress", "rebuild cursor position in permille of groups"},
-      {"kdd_inflight_requests", "outstanding async requests across shard queues"},
-      {"kdd_queue_wait_ns", "submit-to-dequeue wait in the async shard queues"},
-      {"kdd_admission_rejected_total", "async submissions bounced by admission control"},
       {"kdd_retry_exhausted_total", "with_retry budgets that ran dry"},
       {"kdd_alerts_active", "1 while the burn-rate rule is firing, else 0"},
       {"kdd_alerts_fired_total", "fire edges of each burn-rate rule"},

@@ -311,8 +311,6 @@ const char* alert_rule_name(AlertRule r) {
   switch (r) {
     case AlertRule::kLatencyBurn: return "latency_burn";
     case AlertRule::kHitRatioCollapse: return "hit_ratio_collapse";
-    case AlertRule::kRejectSpike: return "admission_reject_spike";
-    case AlertRule::kQueueStall: return "queue_stall";
     case AlertRule::kWearImbalance: return "wear_imbalance";
     case AlertRule::kArrayDegraded: return "array_degraded";
     case AlertRule::kNumRules: break;
@@ -341,14 +339,8 @@ std::uint64_t slow_n(const HealthConfig& cfg) {
 HealthEngine::HealthEngine(HealthConfig cfg, MetricsRegistry* registry)
     : cfg_(cfg),
       latency_(cfg_.bucket_us, ring_slots(cfg_), fast_n(cfg_), slow_n(cfg_)),
-      queue_wait_(cfg_.bucket_us, ring_slots(cfg_)),
       hits_(cfg_.bucket_us, ring_slots(cfg_), fast_n(cfg_), slow_n(cfg_)),
       misses_(cfg_.bucket_us, ring_slots(cfg_), fast_n(cfg_), slow_n(cfg_)),
-      submissions_(cfg_.bucket_us, ring_slots(cfg_), fast_n(cfg_),
-                   slow_n(cfg_)),
-      rejects_(cfg_.bucket_us, ring_slots(cfg_), fast_n(cfg_), slow_n(cfg_)),
-      completions_(cfg_.bucket_us, ring_slots(cfg_), fast_n(cfg_),
-                   slow_n(cfg_)),
       destage_lag_(cfg_.bucket_us, ring_slots(cfg_)) {
   KDD_CHECK(cfg_.fast_window_us <= cfg_.slow_window_us);
   for (int i = 0; i < kNumAlertRules; ++i) {
@@ -423,11 +415,6 @@ void HealthEngine::observe_region_wear(std::size_t region, double wear) {
   wear_dirty_ = true;
 }
 
-void HealthEngine::note_queue_wait(std::uint64_t wait_ns) {
-  std::lock_guard<SpinLock> lock(mu_);
-  queue_wait_.record(now_us_, wait_ns / 1000);
-}
-
 void HealthEngine::note_array_state(int state) {
   std::lock_guard<SpinLock> lock(mu_);
   array_state_ = state;
@@ -462,9 +449,6 @@ void HealthEngine::fold_pending_locked() {
   };
   fold(pending_hits_, folded_hits_, hits_);
   fold(pending_misses_, folded_misses_, misses_);
-  fold(pending_submissions_, folded_submissions_, submissions_);
-  fold(pending_rejects_, folded_rejects_, rejects_);
-  fold(pending_completions_, folded_completions_, completions_);
 }
 
 HealthEngine::WindowStats HealthEngine::window_stats_locked(
@@ -549,7 +533,6 @@ void HealthEngine::evaluate_locked() {
   last_eval_us_ = now_us_;
   events_since_eval_ = 0;
   const SloObjectives& slo = cfg_.slo;
-  const std::uint64_t fast_us = cfg_.fast_window_us;
 
   // Keep the flight recorder's clock anchored to the engine clock at eval
   // cadence, so fault-path events interleave correctly with alerts without
@@ -566,9 +549,6 @@ void HealthEngine::evaluate_locked() {
   latency_.advance(now_us_);
   hits_.advance(now_us_);
   misses_.advance(now_us_);
-  submissions_.advance(now_us_);
-  rejects_.advance(now_us_);
-  completions_.advance(now_us_);
 
   // 1. Latency-SLO burn: both windows must burn to fire (the multi-window
   // guard); the fast window alone decides the resolve.
@@ -623,34 +603,7 @@ void HealthEngine::evaluate_locked() {
     }
   }
 
-  // 3. Admission-reject spike (fast window over all submission attempts).
-  {
-    const std::uint64_t acc = submissions_.fast_sum();
-    const std::uint64_t rej = rejects_.fast_sum();
-    const std::uint64_t attempts = acc + rej;
-    const double rate =
-        attempts > 0
-            ? static_cast<double>(rej) / static_cast<double>(attempts)
-            : 0.0;
-    const bool spiking =
-        attempts >= slo.min_requests && rate >= slo.reject_rate_fire;
-    set_alert_locked(AlertRule::kRejectSpike, spiking, rate);
-  }
-
-  // 4. Queue stall: inflight held high while the fast window completed
-  // nothing. Needs a full fast window of history so a cold start with a
-  // submit burst does not false-fire.
-  {
-    const std::int64_t inflight = inflight_.load(std::memory_order_relaxed);
-    const std::uint64_t done_f = completions_.fast_sum();
-    const bool stalled =
-        inflight >= static_cast<std::int64_t>(slo.queue_stall_inflight) &&
-        done_f == 0 && now_us_ >= fast_us;
-    set_alert_locked(AlertRule::kQueueStall, stalled,
-                     static_cast<double>(inflight));
-  }
-
-  // 5. Wear imbalance across SSD regions (hysteresis: wear converges
+  // 3. Wear imbalance across SSD regions (hysteresis: wear converges
   // slowly, so the resolve bound sits below the fire bound). The skew only
   // moves when observe_region_wear() reports, so it is recomputed on the
   // dirty flag and reused otherwise.
@@ -682,7 +635,7 @@ void HealthEngine::evaluate_locked() {
     wear_skew_gauge_.set(static_cast<std::int64_t>(skew * 1000.0));
   }
 
-  // 6. Array-state regression: anything but healthy is an active incident.
+  // 4. Array-state regression: anything but healthy is an active incident.
   set_alert_locked(AlertRule::kArrayDegraded, array_state_ != 0,
                    static_cast<double>(array_state_));
 }
@@ -770,9 +723,9 @@ std::string HealthEngine::health_json() {
           ? wear_peak / (wear_total / static_cast<double>(region_wear_.size()))
           : 0.0;
   std::snprintf(buf, sizeof buf,
-                "\"gauges\":{\"inflight\":%lld,\"array_state\":%d,"
+                "\"gauges\":{\"array_state\":%d,"
                 "\"destage_lag\":%llu,\"wear_skew\":%.4f,\"wear_regions\":%zu},",
-                static_cast<long long>(inflight_), array_state_,
+                array_state_,
                 static_cast<unsigned long long>(
                     destage_lag_.max(now_us_, cfg_.fast_window_us)),
                 skew, region_wear_.size());

@@ -10,11 +10,10 @@
 //     slots whose epoch falls inside [now - window, now]; sub-histograms
 //     merge into a scratch LatencyHistogram for sliding p50/p99/p999.
 //
-//  2. HealthEngine — owns rolling rings over request latency, hit/miss,
-//     admission rejects, submissions/completions, queue wait, destage lag
-//     and per-region SSD wear, plus the latest array state, and evaluates
-//     multi-window burn-rate rules (fast 5 s / slow 60 s of *simulated*
-//     time) on a tick cadence. Alerts fire and resolve as structured
+//  2. HealthEngine — owns rolling rings over request latency, hit/miss and
+//     destage lag, plus per-region SSD wear and the latest array state, and
+//     evaluates multi-window burn-rate rules (fast 5 s / slow 60 s of
+//     *simulated* time) on a tick cadence. Alerts fire and resolve as structured
 //     events: a KDD_LOG line, a FlightRecorder event, a TraceBuffer instant
 //     (when tracing is on), a `kdd_alerts_active{rule=...}` gauge edge and
 //     a `kdd_alerts_fired_total{rule=...}` counter.
@@ -70,8 +69,8 @@ struct EpochCache {
 /// sliding sums — a fast and a slow window, in buckets — updated
 /// incrementally: add() folds into both, and advance() expires the buckets
 /// that left each window since the last call (amortised O(1) per epoch).
-/// The rule evaluator runs every sim-second against eight of these rings,
-/// so it reads the cached sums instead of rescanning 61 slots per query —
+/// The rule evaluator runs every sim-second against these rings, so it
+/// reads the cached sums instead of rescanning 61 slots per query —
 /// that rescan is what blew the perf gate's 5 % replay budget.
 class RollingCounter {
  public:
@@ -101,9 +100,9 @@ class RollingCounter {
 
   /// One ring slot: the epoch stamp and its sum share a 16-byte cell, so
   /// every slot access (append, expiry lookup) touches one cache line
-  /// instead of two parallel arrays' worth. The engine owns seven of these
-  /// rings and the replay hot path competes for cache with the simulator,
-  /// so the halved footprint is measurable against the perf gate budget.
+  /// instead of two parallel arrays' worth. The engine's rings compete for
+  /// cache with the simulator on the replay hot path, so the halved
+  /// footprint is measurable against the perf gate budget.
   struct Cell {
     std::uint64_t sum = 0;
     std::uint64_t epoch = kEmpty;
@@ -118,9 +117,9 @@ class RollingCounter {
   std::uint64_t bucket_us_;
   std::vector<Cell> cells_;  ///< power-of-two size (see mask_)
   /// Rings are sized up to a power of two so slot = epoch & mask_. The
-  /// advance() expiry loop indexes the ring once per departed bucket across
-  /// seven rings; with a modulo that is a hardware divide per lookup, which
-  /// measurably dented the perf gate's replay budget.
+  /// advance() expiry loop indexes the ring once per departed bucket; with a
+  /// modulo that is a hardware divide per lookup, which measurably dented
+  /// the perf gate's replay budget.
   std::size_t mask_;
   std::uint64_t fast_n_;
   std::uint64_t slow_n_;
@@ -130,7 +129,7 @@ class RollingCounter {
   EpochCache epoch_cache_;
 };
 
-/// Ring of per-epoch maxima (destage lag, queue depth peaks).
+/// Ring of per-epoch maxima (destage lag).
 class RollingMax {
  public:
   RollingMax(std::uint64_t bucket_us, std::size_t slots);
@@ -246,8 +245,6 @@ class RollingHistogram {
 enum class AlertRule : std::uint8_t {
   kLatencyBurn,      ///< over-threshold request fraction burns the error budget
   kHitRatioCollapse, ///< fast-window cache hit ratio under the floor
-  kRejectSpike,      ///< admission-control rejects per submission over the cap
-  kQueueStall,       ///< inflight high while the fast window completed nothing
   kWearImbalance,    ///< max/mean per-region SSD wear over the skew bound
   kArrayDegraded,    ///< ArrayHealth regressed from healthy
   kNumRules
@@ -273,8 +270,6 @@ struct SloObjectives {
   std::uint64_t min_requests = 16;
 
   double hit_ratio_floor = 0.25;  ///< fast-window hits/(hits+misses)
-  double reject_rate_fire = 0.10; ///< fast-window rejects/submissions
-  std::uint64_t queue_stall_inflight = 32;
   /// Wear imbalance: fires when max/mean per-region wear >= skew_fire with
   /// at least `wear_min_total` total wear units observed; resolves at
   /// skew_resolve (hysteresis, since wear only converges slowly).
@@ -367,19 +362,6 @@ class HealthEngine {
   void note_cache_miss() {
     pending_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  void note_submission() {
-    pending_submissions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_admission_reject() {
-    pending_rejects_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_completion() {
-    pending_completions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_queue_wait(std::uint64_t wait_ns);
-  void note_inflight(std::int64_t inflight) {
-    inflight_.store(inflight, std::memory_order_relaxed);
-  }
   void note_array_state(int state);
 
   // -- Queries ---------------------------------------------------------------
@@ -444,18 +426,13 @@ class HealthEngine {
   bool evaluated_once_ = false;
 
   RollingHistogram latency_;  ///< also the request/bad-request counter
-  RollingHistogram queue_wait_;
   RollingCounter hits_;
   RollingCounter misses_;
-  RollingCounter submissions_;
-  RollingCounter rejects_;
-  RollingCounter completions_;
   RollingMax destage_lag_;
   std::vector<double> region_wear_;
   bool wear_dirty_ = false;
   double wear_skew_cached_ = 0.0;
   double wear_total_cached_ = 0.0;
-  std::atomic<std::int64_t> inflight_{0};
   int array_state_ = 0;
 
   // Cumulative hook totals (written lock-free by the note_* hooks) and the
@@ -463,14 +440,8 @@ class HealthEngine {
   // delta into the matching ring.
   std::atomic<std::uint64_t> pending_hits_{0};
   std::atomic<std::uint64_t> pending_misses_{0};
-  std::atomic<std::uint64_t> pending_submissions_{0};
-  std::atomic<std::uint64_t> pending_rejects_{0};
-  std::atomic<std::uint64_t> pending_completions_{0};
   std::uint64_t folded_hits_ = 0;
   std::uint64_t folded_misses_ = 0;
-  std::uint64_t folded_submissions_ = 0;
-  std::uint64_t folded_rejects_ = 0;
-  std::uint64_t folded_completions_ = 0;
 
   struct RuleState {
     bool active = false;
@@ -495,21 +466,6 @@ inline void health_cache_hit() {
 }
 inline void health_cache_miss() {
   if (HealthEngine* h = HealthEngine::installed()) h->note_cache_miss();
-}
-inline void health_submission() {
-  if (HealthEngine* h = HealthEngine::installed()) h->note_submission();
-}
-inline void health_admission_reject() {
-  if (HealthEngine* h = HealthEngine::installed()) h->note_admission_reject();
-}
-inline void health_completion() {
-  if (HealthEngine* h = HealthEngine::installed()) h->note_completion();
-}
-inline void health_queue_wait(std::uint64_t wait_ns) {
-  if (HealthEngine* h = HealthEngine::installed()) h->note_queue_wait(wait_ns);
-}
-inline void health_inflight(std::int64_t inflight) {
-  if (HealthEngine* h = HealthEngine::installed()) h->note_inflight(inflight);
 }
 inline void health_array_state(int state) {
   if (HealthEngine* h = HealthEngine::installed()) h->note_array_state(state);

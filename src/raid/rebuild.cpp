@@ -122,8 +122,8 @@ std::uint64_t RebuildEngine::pump(IoPlan* plan, bool urgent) {
   const GroupId begin = array_->rebuild_cursor();
   const GroupId end = std::min<GroupId>(total, begin + effective_chunk(urgent));
   if (begin < end && barrier_ && !barrier_(begin, end)) {
-    // Dirty groups in the window could not be destaged right now (e.g. an
-    // in-flight claim by the cleaner pool). Defer; claims are transient.
+    // Dirty groups in the window could not be destaged right now. Defer
+    // and retry the window on the next pump.
     ++barrier_deferrals_;
     engine_metrics().barrier_deferrals.inc();
     return 0;

@@ -4,7 +4,8 @@
 // Run these under ThreadSanitizer (`cmake -DKDD_SANITIZE=thread` or env
 // KDD_SANITIZE=thread at configure time) to prove the striped-front-lock /
 // inner-policy-mutex locking model: N writer threads over both disjoint and
-// overlapping parity groups, with the background cleaner racing all of them.
+// overlapping parity groups, with the background cleaner, flush barriers
+// and an online disk failure racing them.
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -13,10 +14,13 @@
 #include <gtest/gtest.h>
 
 #include "blockdev/ssd_model.hpp"
+#include "cache/nvram.hpp"
 #include "harness/harness.hpp"
 #include "kdd/concurrent.hpp"
 #include "kdd/kdd_cache.hpp"
+#include "obs/metrics.hpp"
 #include "raid/raid_array.hpp"
+#include "raid/rebuild.hpp"
 #include "test_util.hpp"
 #include "trace/generators.hpp"
 
@@ -175,102 +179,144 @@ TEST(ConcurrentStress, CleanerRacesSubmitters) {
   EXPECT_GT(cache.cleaner_passes(), 0u);
 }
 
-// Cleaner-pool stress: N writer threads over disjoint parity groups with a
-// 4-worker destage pool racing them. Read-your-writes must hold while the
-// pool claims groups, folds deltas without the policy lock and commits
-// parity behind the writers' backs. (TSan posture: the pool's queue/stripe/
-// policy lock ordering is exactly what this test hammers.)
-TEST(ConcurrentStress, CleanerPoolRacesDisjointWriters) {
-  const RaidGeometry geo = stress_geo();
-  RaidArray array(geo);
-  SsdConfig scfg;
-  scfg.logical_pages = 256;
-  SsdModel ssd(scfg);
-  KddCache kdd(stress_config(), &array, &ssd);
-  ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(1),
-                        /*cleaner_threads=*/4);
-  ASSERT_EQ(cache.pool_threads(), 4u);
+// ---------------------------------------------------------------------------
+// Online disk failure under concurrent writers
+// ---------------------------------------------------------------------------
 
-  constexpr unsigned kThreads = 4;
-  constexpr int kOpsPerThread = 500;
-  const Lba span = std::min<Lba>(array.data_pages(), 640);
+OnlineRebuildConfig slow_rebuild() {
+  OnlineRebuildConfig cfg;
+  cfg.chunk_groups = 8;
+  cfg.min_chunk_groups = 2;
+  cfg.ops_between_steps = 4;
+  cfg.pressure_window = 64;
+  return cfg;
+}
+
+struct OnlineRig {
+  OnlineRig()
+      : array(stress_geo()), ssd(ssd_cfg()), nvram(kPageSize, 255),
+        engine(&array, slow_rebuild()), kdd(cache_cfg(), &array, &ssd, &nvram),
+        cache(bound_to(kdd, engine), &array.layout(), std::chrono::milliseconds(2)) {}
+
+  static SsdConfig ssd_cfg() {
+    SsdConfig cfg;
+    cfg.logical_pages = 256;
+    return cfg;
+  }
+  static PolicyConfig cache_cfg() {
+    PolicyConfig cfg;
+    cfg.ssd_pages = 256;
+    cfg.ways = 8;
+    return cfg;
+  }
+  /// Binds the rebuild engine before the facade is built: the facade starts
+  /// its idle cleaner at once, and that thread reads the binding.
+  static KddCache* bound_to(KddCache& kdd, RebuildEngine& engine) {
+    kdd.bind_rebuild_engine(&engine);
+    return &kdd;
+  }
+
+  RaidArray array;
+  SsdModel ssd;
+  NvramState nvram;
+  RebuildEngine engine;
+  KddCache kdd;
+  ConcurrentCache cache;
+};
+
+// A writer stores each LBA exactly once while the main thread fails a disk
+// mid-flight; degraded/rebuilding reads must then return every write.
+TEST(ConcurrentStress, OnlineDiskFailureUnderAWriterThenRecovers) {
+  OnlineRig rig;
+  const Lba span = 200;
   std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (Lba lba = 0; lba < span; ++lba) {
+      if (rig.cache.write(lba, test_page(lba, 1000 + lba)) != IoStatus::kOk) ++failures;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_TRUE(rig.cache.handle_disk_failure_online(1));
+  // Read the array state through the engine's exported gauge: the writer may
+  // be pumping the rebuild under the policy mutex right now.
+  EXPECT_NE(obs::MetricsRegistry::global().snapshot().gauge("kdd_array_state"),
+            static_cast<std::int64_t>(ArrayHealth::kHealthy));
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
 
-  std::vector<std::thread> writers;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      Rng rng(3000 + t);
-      ReferenceModel model;
+  Page buf = make_page();
+  for (Lba lba = 0; lba < span; ++lba) {
+    ASSERT_EQ(rig.cache.read(lba, buf), IoStatus::kOk) << "lba " << lba;
+    ASSERT_EQ(buf, test_page(lba, 1000 + lba)) << "lba " << lba;
+  }
+  const ConcurrentCache::FrontStats front = rig.cache.front_stats();
+  EXPECT_EQ(front.writes, span);
+  EXPECT_EQ(front.read_errors + front.write_errors, 0u);
+}
+
+// Writers over disjoint parity groups racing repeated flush barriers, the
+// idle cleaner and a disk failure landing mid-flight. Every request must
+// succeed and every thread must read its own writes back, before and after
+// the final flush.
+TEST(ConcurrentStress, WritersRacingFlushAndDiskFailure) {
+  OnlineRig rig;
+  constexpr unsigned kSubmitters = 4;
+  constexpr int kOpsPerThread = 300;
+  const Lba span = std::min<Lba>(rig.array.data_pages(), 640);
+  std::atomic<int> failures{0};
+  std::vector<ReferenceModel> models(kSubmitters);
+
+  std::vector<std::thread> submitters;
+  for (unsigned t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      Rng rng(500 + t);
+      ReferenceModel& model = models[t];
       Page buf = make_page();
       for (int i = 0; i < kOpsPerThread; ++i) {
+        // Each submitter owns the parity groups congruent to its id.
         Lba lba = rng.next_below(span);
-        while (array.layout().group_of(lba) % kThreads != t) {
+        while (rig.array.layout().group_of(lba) % kSubmitters != t) {
           lba = rng.next_below(span);
         }
         if (rng.next_bool(0.7)) {
-          const Page data = test_page(lba, static_cast<std::uint64_t>(i) * kThreads + t);
-          if (cache.write(lba, data) != IoStatus::kOk) ++failures;
-          model.write(lba, data);
+          fill_replay_page(lba, static_cast<std::uint64_t>(i), 7, buf);
+          if (rig.cache.write(lba, buf) != IoStatus::kOk) ++failures;
+          model.write(lba, buf);
         } else {
-          if (cache.read(lba, buf) != IoStatus::kOk) ++failures;
+          if (rig.cache.read(lba, buf) != IoStatus::kOk) ++failures;
           if (model.contains(lba) && buf != model.read(lba)) ++failures;
         }
       }
-      for (const auto& [lba, expect] : model.pages()) {
-        if (cache.read(lba, buf) != IoStatus::kOk || buf != expect) ++failures;
-      }
     });
   }
-  for (std::thread& w : writers) w.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  cache.flush();
-  kdd.check_invariants();
-  EXPECT_TRUE(array.scrub().empty());
-}
-
-// Repeated blocking flushes racing writers and the pool: every flush must
-// reach its deterministic drain barrier (queues empty, no in-flight batch)
-// and leave parity scrubbed clean, while writers keep dirtying new groups.
-TEST(ConcurrentStress, PoolFlushBarrierUnderTraffic) {
-  const RaidGeometry geo = stress_geo();
-  RaidArray array(geo);
-  SsdConfig scfg;
-  scfg.logical_pages = 256;
-  SsdModel ssd(scfg);
-  KddCache kdd(stress_config(), &array, &ssd);
-  ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(1),
-                        /*cleaner_threads=*/3);
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> writers;
-  for (unsigned t = 0; t < 3; ++t) {
-    writers.emplace_back([&, t] {
-      Rng rng(4000 + t);
-      while (!stop.load()) {
-        const Lba lba = rng.next_below(256);
-        if (cache.write(lba, test_page(lba, rng.next_u64())) != IoStatus::kOk) {
-          ++failures;
-        }
-      }
-    });
-  }
+  // Flush barriers racing the submitters.
+  std::atomic<bool> stop_flusher{false};
   std::thread flusher([&] {
-    for (int i = 0; i < 8; ++i) {
-      cache.flush();
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    while (!stop_flusher.load(std::memory_order_relaxed)) {
+      rig.cache.flush();
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
     }
   });
+  // Disk failure mid-flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(rig.cache.handle_disk_failure_online(2));
+
+  for (std::thread& s : submitters) s.join();
+  stop_flusher.store(true, std::memory_order_relaxed);
   flusher.join();
-  stop.store(true);
-  for (std::thread& w : writers) w.join();
+  rig.cache.flush();
   EXPECT_EQ(failures.load(), 0);
 
-  cache.flush();
-  kdd.check_invariants();
-  EXPECT_TRUE(array.scrub().empty());
-  EXPECT_GT(cache.front_stats().flushes, 0u);
+  const ConcurrentCache::FrontStats front = rig.cache.front_stats();
+  EXPECT_EQ(front.reads + front.writes,
+            static_cast<std::uint64_t>(kSubmitters) * kOpsPerThread);
+  Page buf = make_page();
+  for (const ReferenceModel& model : models) {
+    for (const auto& [lba, expect] : model.pages()) {
+      ASSERT_EQ(rig.cache.read(lba, buf), IoStatus::kOk) << "lba " << lba;
+      ASSERT_EQ(buf, expect) << "lba " << lba;
+    }
+  }
 }
 
 // The acceptance property of the replay mode: the final logical state after

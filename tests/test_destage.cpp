@@ -1,10 +1,10 @@
 // Tests for the batched destage pipeline (kdd/destage.hpp): the claim ->
-// prepare -> fold -> commit protocol on KddCache, the batch planner (the
+// prepare -> fold -> commit stages on KddCache, the batch planner (the
 // least recently written groups, issued in disk-layout order), and the
-// acceptance property of the overhaul — the batched cleaner (inline or driven
-// by the ConcurrentCache cleaner pool) converges to a final array state
-// byte-identical to the same replay through no cache at all on a fig9-style
-// trace.
+// acceptance property of the overhaul — the batched cleaner (with one
+// submitter or four racing the ConcurrentCache idle cleaner) converges to a
+// final array state byte-identical to the same replay through no cache at
+// all on a fig9-style trace.
 #include <algorithm>
 #include <chrono>
 #include <map>
@@ -89,8 +89,7 @@ TEST(DestageBatch, ClaimReturnsGroupsInDiskLayoutOrder) {
   const std::vector<GroupId> dirtied = dirty_groups(kdd, array.layout(), 6);
   ASSERT_EQ(kdd.stale_groups(), 6u);
 
-  DestageSource& src = kdd;
-  const std::vector<GroupId> claimed = src.destage_claim(6);
+  const std::vector<GroupId> claimed = kdd.destage_claim(6);
   ASSERT_EQ(claimed.size(), 6u);
   // Disk-layout order: sorted by (parity disk, parity page).
   for (std::size_t i = 1; i < claimed.size(); ++i) {
@@ -106,12 +105,6 @@ TEST(DestageBatch, ClaimReturnsGroupsInDiskLayoutOrder) {
   std::sort(sorted_claimed.begin(), sorted_claimed.end());
   EXPECT_EQ(sorted_claimed, sorted_dirtied);
 
-  // A second claim must not hand out in-flight groups...
-  EXPECT_TRUE(src.destage_claim(6).empty());
-  // ...until they are abandoned.
-  src.destage_abandon(claimed);
-  EXPECT_EQ(src.destage_claim(6).size(), 6u);
-  src.destage_abandon(claimed);
   kdd.flush();
   EXPECT_TRUE(array.scrub().empty());
 }
@@ -125,13 +118,8 @@ TEST(DestageBatch, ClaimHonoursMaxGroups) {
   KddCache kdd(manual_config(), &array, &ssd);
 
   dirty_groups(kdd, array.layout(), 5);
-  DestageSource& src = kdd;
-  const std::vector<GroupId> first = src.destage_claim(2);
-  EXPECT_EQ(first.size(), 2u);
-  const std::vector<GroupId> second = src.destage_claim(16);
-  EXPECT_EQ(second.size(), 3u);  // the remaining unclaimed groups
-  src.destage_abandon(first);
-  src.destage_abandon(second);
+  EXPECT_EQ(kdd.destage_claim(2).size(), 2u);
+  EXPECT_EQ(kdd.destage_claim(16).size(), 5u);  // every dirty group
   kdd.flush();
 }
 
@@ -207,15 +195,13 @@ TEST(DestageBatch, ClaimTakesLeastRecentlyWrittenGroupsInLayoutOrder) {
   by_recency.push_back(lowest);
 
   constexpr std::size_t kTake = 3;
-  DestageSource& src = kdd;
-  const std::vector<GroupId> claimed = src.destage_claim(kTake);
+  const std::vector<GroupId> claimed = kdd.destage_claim(kTake);
   // The three least recently written groups, issued in disk-layout order.
   std::vector<GroupId> expected(by_recency.begin(), by_recency.begin() + kTake);
   std::sort(expected.begin(), expected.end(), before);
   EXPECT_EQ(claimed, expected);
   EXPECT_EQ(std::count(claimed.begin(), claimed.end(), lowest), 0);
 
-  src.destage_abandon(claimed);
   kdd.flush();
   kdd.check_invariants();
   EXPECT_TRUE(array.scrub().empty());
@@ -313,12 +299,10 @@ TEST(DestageBatch, RecoveredGroupsAreColderThanEveryLaterWrite) {
   dirty(kdd, late);
   kdd.check_invariants();
 
-  DestageSource& src = kdd;
-  const std::vector<GroupId> claimed = src.destage_claim(groups.size());
+  const std::vector<GroupId> claimed = kdd.destage_claim(groups.size());
   std::sort(groups.begin(), groups.end(), before);
   EXPECT_EQ(claimed, groups);  // every recovered group before the later one
 
-  src.destage_abandon(claimed);
   kdd.flush();
   EXPECT_TRUE(array.scrub().empty());
 }
@@ -334,14 +318,13 @@ TEST(DestageBatch, ManualPipelineCleansClaimedGroups) {
   dirty_groups(kdd, array.layout(), 8);
   ASSERT_GT(kdd.old_pages(), 0u);
 
-  DestageSource& src = kdd;
   for (;;) {
-    const std::vector<GroupId> groups = src.destage_claim(3);
+    const std::vector<GroupId> groups = kdd.destage_claim(3);
     if (groups.empty()) break;
-    std::unique_ptr<DestageUnit> unit = src.destage_prepare(groups, nullptr);
+    std::unique_ptr<BatchUnit> unit = kdd.destage_prepare(groups, nullptr);
     ASSERT_NE(unit, nullptr);
-    unit->fold();  // no policy lock required here by contract
-    src.destage_commit(*unit, nullptr);
+    unit->fold();  // pure compute over the snapshot
+    kdd.destage_commit(*unit, nullptr);
   }
   EXPECT_EQ(kdd.stale_groups(), 0u);
   EXPECT_EQ(kdd.old_pages(), 0u);
@@ -376,15 +359,13 @@ TEST(DestageBatch, PrepareReleasesClaimsOfRepairedGroups) {
   KddCache kdd(manual_config(), &array, &ssd);
 
   dirty_groups(kdd, array.layout(), 4);
-  DestageSource& src = kdd;
-  const std::vector<GroupId> groups = src.destage_claim(4);
+  const std::vector<GroupId> groups = kdd.destage_claim(4);
   ASSERT_EQ(groups.size(), 4u);
-  // Claims must be released before a blocking flush (the facade's drain
-  // barrier guarantees this ordering); flush then repairs everything inline.
-  src.destage_abandon(groups);
+  // Flush repairs everything inline; claiming again finds nothing, and
+  // preparing the repaired groups yields null.
   kdd.flush();
-  // Claiming again finds nothing, and preparing an empty claim yields null.
-  EXPECT_TRUE(src.destage_claim(4).empty());
+  EXPECT_TRUE(kdd.destage_claim(4).empty());
+  EXPECT_EQ(kdd.destage_prepare(groups, nullptr), nullptr);
   EXPECT_TRUE(array.scrub().empty());
 }
 
@@ -400,7 +381,6 @@ TEST(DestageBatch, BatchSizeHonoursConfigOverrideAndClampsAuto) {
     SsdModel ssd(scfg);
     KddCache kdd(cfg, &array, &ssd);
     EXPECT_EQ(kdd.destage_batch_size(), 7u);
-    EXPECT_EQ(static_cast<DestageSource&>(kdd).destage_batch_hint(), 7u);
   }
   cfg.destage_batch_groups = 0;  // auto: watermark-gap / 4, clamped to [4, 64]
   {
@@ -412,13 +392,13 @@ TEST(DestageBatch, BatchSizeHonoursConfigOverrideAndClampsAuto) {
   }
 }
 
-// The acceptance property (fig9-style replay): inline batched cleaning and
-// pool-driven batched cleaning both converge to the array contents of the
-// same replay through no cache at all (ground truth: every write lands on
-// the array directly). Stats may differ (the *order* groups are destaged in
-// differs, so eviction timing differs) — the digest and a clean scrub are
-// the invariants.
-TEST(DestageBatch, BatchedAndPooledCleanersMatchNoCacheDigest) {
+// The acceptance property (fig9-style replay): batched cleaning with one
+// submitter and with four submitters racing the 2 ms idle cleaner both
+// converge to the array contents of the same replay through no cache at all
+// (ground truth: every write lands on the array directly). Stats may differ
+// (the *order* groups are destaged in differs, so eviction timing differs)
+// — the digest and a clean scrub are the invariants.
+TEST(DestageBatch, BatchedCleanerMatchesNoCacheDigestAtOneAndFourSubmitters) {
   SyntheticTraceConfig tcfg = fin1_config(0.01);
   tcfg.seed = 5;
   const Trace trace = generate_synthetic_trace(tcfg);
@@ -441,11 +421,10 @@ TEST(DestageBatch, BatchedAndPooledCleanersMatchNoCacheDigest) {
   struct Run {
     const char* name;
     unsigned threads;
-    std::uint32_t pool;
   };
   const Run runs[] = {
-      {"batched-inline", 1, 0},
-      {"batched-pool", 4, 3},
+      {"batched-inline", 1},
+      {"batched-4-submitters", 4},
   };
 
   for (const Run& run : runs) {
@@ -458,18 +437,13 @@ TEST(DestageBatch, BatchedAndPooledCleanersMatchNoCacheDigest) {
     cfg.clean_high_watermark = 0.25;
     cfg.clean_low_watermark = 0.10;
     KddCache kdd(cfg, &array, &ssd);
-    ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(2),
-                          run.pool);
+    ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(2));
 
     const ConcurrentReplayResult r = run_concurrent_trace(
         cache, array.layout(), trace, geo.data_pages(), run.threads, /*seed=*/3);
     EXPECT_TRUE(array.scrub().empty()) << run.name;
     kdd.check_invariants();
     const std::uint64_t digest = replay_readback_digest(cache, geo.data_pages());
-    if (run.pool > 0) {
-      EXPECT_EQ(cache.pool_threads(), run.pool) << run.name;
-      EXPECT_GT(cache.pool_batches(), 0u) << run.name;
-    }
     EXPECT_EQ(digest, truth_digest) << run.name;
     EXPECT_EQ(r.ops, truth_requests) << run.name;
   }

@@ -211,7 +211,7 @@ TEST(ConcurrentCache, MultiThreadedReadYourWrites) {
   PolicyConfig cfg = small_config();
   cfg.ssd_pages = 512;
   KddCache kdd(cfg, &array, &ssd);
-  ConcurrentCache cache(&kdd, std::chrono::milliseconds(5));
+  ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(5));
 
   constexpr int kThreads = 4;
   constexpr Lba kRange = 200;  // disjoint per thread
@@ -248,7 +248,7 @@ TEST(ConcurrentCache, BackgroundCleanerRunsWhileIdle) {
   PolicyConfig cfg = small_config();
   cfg.clean_high_watermark = 0.95;  // only the idle trigger can clean
   KddCache kdd(cfg, small_geo());
-  ConcurrentCache cache(&kdd, std::chrono::milliseconds(2));
+  ConcurrentCache cache(&kdd, &kdd.raid().layout(), std::chrono::milliseconds(2));
   for (Lba lba = 0; lba < 20; ++lba) {
     cache.read(lba, {});
     cache.write(lba, {});

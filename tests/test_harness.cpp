@@ -41,12 +41,33 @@ TEST(Harness, PaperGeometryCoversRequestedFootprint) {
 TEST(Harness, ExperimentScaleParsesEnvironment) {
   ::setenv("KDD_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(experiment_scale(0.1), 0.5);
-  ::setenv("KDD_SCALE", "2.5", 1);  // out of range -> fallback
-  EXPECT_DOUBLE_EQ(experiment_scale(0.1), 0.1);
+  ::setenv("KDD_SCALE", "2.5", 1);  // out of range: rejected, not ignored
+  EXPECT_EXIT(experiment_scale(0.1), ::testing::ExitedWithCode(2), "KDD_SCALE=2.5");
   ::setenv("KDD_SCALE", "garbage", 1);
+  EXPECT_EXIT(experiment_scale(0.1), ::testing::ExitedWithCode(2), "KDD_SCALE=garbage");
+  ::setenv("KDD_SCALE", "", 1);
   EXPECT_DOUBLE_EQ(experiment_scale(0.1), 0.1);
   ::unsetenv("KDD_SCALE");
   EXPECT_DOUBLE_EQ(experiment_scale(0.33), 0.33);
+}
+
+TEST(Harness, EnvironmentParsersRejectMalformedValues) {
+  EXPECT_EQ(parse_experiment_scale("0.05"), 0.05);
+  EXPECT_EQ(parse_experiment_scale("1"), 1.0);
+  EXPECT_EQ(parse_experiment_scale("1e-2"), 0.01);
+  for (const char* bad : {"0.05junk", "abc", "", " 0.5", "+0.5", "0", "-0.1", "1.01",
+                          "nan", "inf"}) {
+    EXPECT_EQ(parse_experiment_scale(bad), std::nullopt) << '"' << bad << '"';
+  }
+
+  EXPECT_EQ(parse_sweep_threads("1", 4), 1u);
+  EXPECT_EQ(parse_sweep_threads("3", 4), 3u);
+  EXPECT_EQ(parse_sweep_threads("100000", 4), 4u);  // capped at the host
+  EXPECT_EQ(parse_sweep_threads("8", 0), 1u);       // unknown host: serial
+  for (const char* bad : {"8x", "x8", "", " 2", "+2", "0", "-1", "2.5",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(parse_sweep_threads(bad, 4), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(Harness, RunCounterTraceSplitsMultiPageRequests) {

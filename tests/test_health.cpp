@@ -266,37 +266,6 @@ TEST(HealthEngine, HitRatioCollapseFiresAndRecovers) {
   EXPECT_FALSE(status_of(eng.alerts(), AlertRule::kHitRatioCollapse).active);
 }
 
-TEST(HealthEngine, RejectSpikeFiresOnAdmissionPressure) {
-  HealthEngine eng(test_config());
-  eng.tick(1 * kSec);
-  for (int i = 0; i < 30; ++i) eng.note_submission();
-  for (int i = 0; i < 10; ++i) eng.note_admission_reject();  // 25% rejects
-  eng.tick(2 * kSec);
-  EXPECT_TRUE(status_of(eng.alerts(), AlertRule::kRejectSpike).active);
-  eng.tick(8 * kSec);  // attempts age out of the fast window
-  EXPECT_FALSE(status_of(eng.alerts(), AlertRule::kRejectSpike).active);
-}
-
-TEST(HealthEngine, QueueStallFiresWhenInflightHighAndCompletionsFlat) {
-  HealthEngine eng(test_config());
-  eng.tick(1 * kSec);
-  eng.note_inflight(64);
-  eng.tick(6 * kSec);  // a full fast window with zero completions
-  EXPECT_TRUE(status_of(eng.alerts(), AlertRule::kQueueStall).active);
-  eng.note_completion();
-  eng.tick(7 * kSec);
-  EXPECT_FALSE(status_of(eng.alerts(), AlertRule::kQueueStall).active);
-}
-
-TEST(HealthEngine, QueueStallNeedsAFullWindowOfHistory) {
-  // Cold start: a submit burst with inflight high at t < fast_window must
-  // not false-fire before any completion had a chance to land.
-  HealthEngine eng(test_config());
-  eng.note_inflight(64);
-  eng.tick(2 * kSec);  // fast window is 5 s
-  EXPECT_FALSE(status_of(eng.alerts(), AlertRule::kQueueStall).active);
-}
-
 TEST(HealthEngine, WearImbalanceFiresOnSkewAndResolvesWithHysteresis) {
   HealthEngine eng(test_config());
   eng.observe_region_wear(0, 10.0);
