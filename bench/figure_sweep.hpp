@@ -85,29 +85,23 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
     struct SweepConfig {
       PolicyKind kind;
       double locality;
-      bool elastic;
     };
     std::vector<std::string> header{"Cache size"};
     std::vector<SweepConfig> configs;
-    if (fig.traffic_mode) configs.push_back({PolicyKind::kWA, 0.25, false});
-    configs.push_back({PolicyKind::kWT, 0.25, false});
-    configs.push_back({PolicyKind::kLeavO, 0.25, false});
+    if (fig.traffic_mode) configs.push_back({PolicyKind::kWA, 0.25});
+    configs.push_back({PolicyKind::kWT, 0.25});
+    configs.push_back({PolicyKind::kLeavO, 0.25});
     for (const double locality : kLocalityLevels) {
-      configs.push_back({PolicyKind::kKdd, locality, false});
+      configs.push_back({PolicyKind::kKdd, locality});
     }
-    if (!fig.traffic_mode) {
-      // Compressibility-mix axis (hit-ratio figures only): KDD with the
-      // adaptive DAZ/DEZ boundary at near-incompressible / mixed /
-      // highly-compressible content, against the static-layout KDD columns.
-      for (const double mean : kCompressMix) {
-        configs.push_back({PolicyKind::kKdd, mean, true});
-      }
-    }
-    for (const auto& [kind, locality, elastic] : configs) {
+    for (const auto& [kind, locality] : configs) {
       std::string name = policy_kind_name(kind);
       if (kind == PolicyKind::kKdd) {
-        name += std::string(elastic ? "e" : "") + "-" +
-                TextTable::num(locality * 100, 0) + "%";
+        // Appended piecewise: GCC 12 reports a false -Wrestrict on
+        // `"-" + std::string` here.
+        name += '-';
+        name += TextTable::num(locality * 100, 0);
+        name += '%';
       }
       header.push_back(name);
     }
@@ -129,9 +123,8 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
       const std::size_t ci = i % cols;
       const auto ssd_pages = static_cast<std::uint64_t>(
           fractions[fi] * static_cast<double>(tstats.unique_pages_total));
-      const auto& [kind, locality, elastic] = configs[ci];
-      results[i] =
-          run_policy_on_trace(kind, locality, ssd_pages, trace, geo, elastic);
+      const auto& [kind, locality] = configs[ci];
+      results[i] = run_policy_on_trace(kind, locality, ssd_pages, trace, geo);
     });
 
     for (std::size_t fi = 0; fi < fractions.size(); ++fi) {
@@ -140,7 +133,7 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
       std::vector<std::string> row{kpages(ssd_pages)};
       double wt_traffic = 0, leavo_traffic = 0, kdd25_traffic = 0;
       for (std::size_t ci = 0; ci < cols; ++ci) {
-        const auto& [kind, locality, elastic] = configs[ci];
+        const auto& [kind, locality] = configs[ci];
         const CacheStats& s = results[fi * cols + ci];
         if (fig.traffic_mode) {
           const double gib =
@@ -148,9 +141,7 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
           row.push_back(TextTable::num(gib, 2));
           if (kind == PolicyKind::kWT) wt_traffic = gib;
           if (kind == PolicyKind::kLeavO) leavo_traffic = gib;
-          if (kind == PolicyKind::kKdd && locality == 0.25 && !elastic) {
-            kdd25_traffic = gib;
-          }
+          if (kind == PolicyKind::kKdd && locality == 0.25) kdd25_traffic = gib;
         } else {
           row.push_back(pct(s.hit_ratio()));
         }
@@ -164,10 +155,7 @@ inline void run_cache_size_sweep(const FigureConfig& fig) {
     table.print();
     maybe_write_csv(table, fig.figure, workload);
     std::printf("%s\n", fig.traffic_mode ? "(GiB written to SSD; lower is better)\n"
-                                         : "(overall hit ratio; higher is better; "
-                                           "KDDe-N% = adaptive DAZ/DEZ boundary "
-                                           "at incompressible/mixed/"
-                                           "compressible content mixes)\n");
+                                         : "(overall hit ratio; higher is better)\n");
   }
 }
 

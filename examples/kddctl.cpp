@@ -92,9 +92,6 @@ struct Controller {
     // SSD as sealed sequential batches, so 'stats' shows the fill/seal/WA
     // gauges moving as you type.
     cfg.segment_staging = true;
-    // Adaptive DAZ/DEZ boundary on: the cap on DEZ pages follows the update
-    // compressibility — 'stats' shows the capacity line moving.
-    cfg.adaptive_boundary = true;
     kdd = std::make_unique<KddCache>(cfg, &array, &ssd, &nvram, recover);
   }
 
@@ -214,18 +211,12 @@ int main() {
               ? 1000.0 * static_cast<double>(cache.write_ops()) /
                     static_cast<double>(cache.pages_committed())
               : 0.0);
-      // Delta-zone capacity: occupancy vs the adaptive boundary, live/dead
-      // packed bytes (dead = holes left by superseded deltas), and the spare
-      // pages currently absorbing destage bursts.
-      std::printf(
-          "# dez capacity: %llu/%llu pages (boundary), %llu live B, "
-          "%llu dead B, %llu spare pages, %llu boundary moves\n",
-          static_cast<unsigned long long>(ctl.kdd->dez_pages()),
-          static_cast<unsigned long long>(ctl.kdd->dez_boundary_pages()),
-          static_cast<unsigned long long>(ctl.kdd->dez_live_bytes()),
-          static_cast<unsigned long long>(ctl.kdd->dez_dead_bytes()),
-          static_cast<unsigned long long>(ctl.kdd->elastic_spare_pages()),
-          static_cast<unsigned long long>(ctl.kdd->boundary_moves()));
+      // Delta-zone capacity: occupancy and live/dead packed bytes (dead =
+      // holes left by superseded deltas).
+      std::printf("# dez capacity: %llu pages, %llu live B, %llu dead B\n",
+                  static_cast<unsigned long long>(ctl.kdd->dez_pages()),
+                  static_cast<unsigned long long>(ctl.kdd->dez_live_bytes()),
+                  static_cast<unsigned long long>(ctl.kdd->dez_dead_bytes()));
     } else if (cmd == "health") {
       std::fputs(ctl.health.health_json().c_str(), stdout);
     } else if (cmd == "alerts") {

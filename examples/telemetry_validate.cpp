@@ -196,12 +196,8 @@ void validate_prometheus_file(const std::string& dir, const std::string& file,
       check(type_families.count(family) > 0,
             file + ": missing family " + family);
     }
-    // Delta zone: occupancy/fragmentation gauges plus the boundary counter
-    // (adaptive_boundary is flag-gated, but the series are always registered
-    // by KddCache).
-    for (const char* family :
-         {"kdd_dez_live_bytes", "kdd_dez_dead_bytes", "kdd_dez_boundary_pages",
-          "kdd_dez_spare_pages", "kdd_dez_boundary_moves_total"}) {
+    // Delta zone: the live and dead packed-byte gauges.
+    for (const char* family : {"kdd_dez_live_bytes", "kdd_dez_dead_bytes"}) {
       check(type_families.count(family) > 0,
             file + ": missing family " + family);
     }
@@ -295,7 +291,6 @@ void validate_timeseries(const std::string& dir) {
                                    "disk_writes", "cleanings",   "dez_pages",
                                    "old_pages",   "stale_groups", "log_used_pages",
                                    "dez_live_bytes", "dez_dead_bytes",
-                                   "dez_boundary_pages", "dez_spare_pages",
                                    "mean_latency_us"};
   double prev_t = -1.0;
   std::uint64_t total_ops = 0;

@@ -567,32 +567,6 @@ IoStatus RaidBackend::update_parity_rmw(GroupId g, std::span<const GroupDelta> d
   return IoStatus::kOk;
 }
 
-IoStatus RaidBackend::update_parity_rmw_batch(
-    std::span<const GroupParityUpdate> updates, IoPlan* plan,
-    std::vector<GroupId>* failed) {
-  const obs::SpanScope span(obs::Stage::kParity);
-  const std::uint32_t parity = layout_.geometry().parity_disks();
-  KDD_CHECK(parity > 0);
-  disk_reads_ += parity * updates.size();
-  disk_writes_ += parity * updates.size();
-  if (array_) return array_->update_parity_rmw_batch(updates, plan, failed);
-  for (const GroupParityUpdate& up : updates) {
-    if (up.finalize) counter_stale_.erase(up.group);
-    if (plan) {
-      const DiskAddr pa = layout_.parity_addr(up.group);
-      const std::size_t rd = plan->next_phase();
-      plan->add(rd, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kRead});
-      plan->add(rd + 1, {DeviceOp::Target::kHdd, pa.disk, pa.page, IoKind::kWrite});
-      if (layout_.geometry().level == RaidLevel::kRaid6) {
-        const DiskAddr qa = layout_.q_parity_addr(up.group);
-        plan->add(rd, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kRead});
-        plan->add(rd + 1, {DeviceOp::Target::kHdd, qa.disk, qa.page, IoKind::kWrite});
-      }
-    }
-  }
-  return IoStatus::kOk;
-}
-
 IoStatus RaidBackend::update_parity_reconstruct_cached(
     GroupId g, std::span<const Page* const> current_data, IoPlan* plan) {
   const obs::SpanScope span(obs::Stage::kParity);

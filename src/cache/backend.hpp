@@ -172,14 +172,6 @@ class RaidBackend {
   IoStatus update_parity_rmw(GroupId g, std::span<const GroupDelta> deltas,
                              IoPlan* plan, bool finalize = true);
 
-  /// Batched destage (see RaidArray::update_parity_rmw_batch): one RMW-style
-  /// parity update per entry, caller-ordered, per-group failure reporting.
-  /// Counter mode charges one parity read + write per parity device per
-  /// group, exactly like N update_parity_rmw calls would.
-  IoStatus update_parity_rmw_batch(std::span<const GroupParityUpdate> updates,
-                                   IoPlan* plan,
-                                   std::vector<GroupId>* failed = nullptr);
-
   /// Deferred parity update, reconstruct-write flavour: one entry per data
   /// member, the member's current contents, or null to read it from disk
   /// (each such read is counted). Counter mode never dereferences an entry.

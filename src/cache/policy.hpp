@@ -28,8 +28,8 @@ struct PolicyConfig {
   bool reclaim_as_clean = false;  ///< Section III-D scheme 1 (true) vs 2 (false)
   /// Groups per destage batch. The cleaner drains dirty groups through the
   /// prepare/fold/commit pipeline (src/kdd/destage.hpp), coalescing each
-  /// group's deltas into one stale-parity RMW and committing whole batches
-  /// with one update_parity_rmw_batch call. 0 = auto: sized from the
+  /// group's deltas into one stale-parity RMW (one parity read and one
+  /// parity write per group, not per delta). 0 = auto: sized from the
   /// high/low watermark gap (enough groups to get from high back under low
   /// in ~4 batches).
   std::uint32_t destage_batch_groups = 0;
@@ -42,13 +42,6 @@ struct PolicyConfig {
   /// legacy per-page write accounting are unchanged.
   bool segment_staging = false;
   std::uint32_t segment_pages = 64;  ///< payload pages per sealed segment
-  /// Adaptive DAZ/DEZ boundary (KDD only): a rolling compressibility
-  /// estimate plus the ghost-LRU hit-ratio signal steer a cap on DEZ pages;
-  /// slack under the static layout is exposed as elastic spare absorbing
-  /// destage bursts and degraded/rebuild traffic. Off by default so
-  /// existing deterministic replays are unchanged.
-  bool adaptive_boundary = false;
-  std::uint64_t boundary_epoch_ops = 512;  ///< requests between boundary decisions
   double delta_ratio_mean = 0.25; ///< counter-mode content locality (Gaussian mean)
   std::uint64_t seed = 1;
 };

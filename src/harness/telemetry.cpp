@@ -122,8 +122,6 @@ void TelemetrySession::poll_sources(obs::WearSample& s) {
     s.log_used_pages = kdd_->metadata_log().used_pages();
     s.dez_live_bytes = kdd_->dez_live_bytes();
     s.dez_dead_bytes = kdd_->dez_dead_bytes();
-    s.dez_boundary_pages = kdd_->dez_boundary_pages();
-    s.dez_spare_pages = kdd_->elastic_spare_pages();
   }
   if (ssd_) {
     s.write_amplification = ssd_->wear().write_amplification();

@@ -27,12 +27,6 @@ TortureConfig::TortureConfig() {
   // segment keeps seals frequent at this scale.
   policy.segment_staging = true;
   policy.segment_pages = 16;
-  // The adaptive DAZ/DEZ boundary is ON in torture, so the uniform crash
-  // point also lands while the boundary moves and marginal deltas are turned
-  // away. A short epoch keeps the boundary active at this tiny scale (256
-  // cache pages, ~700 requests per seed).
-  policy.adaptive_boundary = true;
-  policy.boundary_epoch_ops = 64;
 }
 
 /// One seed's worth of stack. Everything but the KddCache survives a power

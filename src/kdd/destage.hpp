@@ -14,11 +14,14 @@
 //                 XOR diffs. Pure compute over the snapshot: touches no
 //                 cache state.
 //   4. commit   — fold the accumulated diffs into the stale parity with one
-//                 batched RMW (one parity read + one XOR-accumulate + one
-//                 parity write per group) and reclaim the old/DEZ pages.
+//                 RMW per group (one parity read + one XOR-accumulate + one
+//                 parity write) and reclaim the old/DEZ pages.
 //
 // KddCache::destage_batch_once runs the four back to back from the cache's
-// own cleaning passes (watermark, idle, flush); tests drive them by hand.
+// own cleaning passes (watermark, idle, flush). Forced folds run stages 2-4
+// over the groups they name: the rebuild stripe barrier over the dirty
+// groups of its window, a degraded request over its one stale group. Tests
+// drive the stages by hand.
 // Commit revalidates every captured page against live slot state, so a page
 // resolved between prepare and commit is skipped, never double-applied.
 #pragma once

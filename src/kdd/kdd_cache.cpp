@@ -32,13 +32,8 @@ struct KddMetrics {
   obs::Counter write_miss_rmw;  ///< write misses by parity path
   obs::Counter write_miss_rcw;
   obs::Histogram destage_batch_groups;  ///< groups per committed destage batch
-  // Delta zone (kdd_dez_*): occupancy/fragmentation gauges plus the
-  // boundary-adaptation activity counter.
-  obs::Counter boundary_moves;
-  obs::Gauge dez_live_bytes;
-  obs::Gauge dez_dead_bytes;
-  obs::Gauge dez_boundary_pages;
-  obs::Gauge dez_spare_pages;
+  obs::Gauge dez_live_bytes;  ///< delta zone: packed bytes still referenced
+  obs::Gauge dez_dead_bytes;  ///< delta zone: holes of superseded deltas
 };
 
 KddMetrics& kdd_metrics() {
@@ -57,11 +52,8 @@ KddMetrics& kdd_metrics() {
     km->write_miss_rcw = obs::Counter(&reg, "kdd_write_miss_rcw_total");
     km->destage_batch_groups =
         obs::Histogram(&reg, "kdd_destage_batch_groups");
-    km->boundary_moves = obs::Counter(&reg, "kdd_dez_boundary_moves_total");
     km->dez_live_bytes = obs::Gauge(&reg, "kdd_dez_live_bytes");
     km->dez_dead_bytes = obs::Gauge(&reg, "kdd_dez_dead_bytes");
-    km->dez_boundary_pages = obs::Gauge(&reg, "kdd_dez_boundary_pages");
-    km->dez_spare_pages = obs::Gauge(&reg, "kdd_dez_spare_pages");
     return km;
   }();
   return *m;
@@ -84,12 +76,6 @@ KddCache::KddCache(const PolicyConfig& config, const RaidGeometry& geo,
     ghost_ = std::make_unique<GhostLru>(sets_.pages());
   }
   dez_space_.reset(sets_.pages());
-  comp_ewma_ = config.delta_ratio_mean;
-  if (config.adaptive_boundary) {
-    boundary_ghost_ = std::make_unique<GhostLru>(sets_.pages());
-    dez_limit_pages_ = boundary_target_pages();
-    boundary_target_ewma_ = static_cast<double>(dez_limit_pages_);
-  }
   refresh_dez_gauges();
   if (config.segment_staging) {
     setup_segment_staging();
@@ -112,12 +98,6 @@ KddCache::KddCache(const PolicyConfig& config, RaidArray* array, SsdModel* ssd,
     ghost_ = std::make_unique<GhostLru>(sets_.pages());
   }
   dez_space_.reset(sets_.pages());
-  comp_ewma_ = config.delta_ratio_mean;
-  if (config.adaptive_boundary) {
-    boundary_ghost_ = std::make_unique<GhostLru>(sets_.pages());
-    dez_limit_pages_ = boundary_target_pages();
-    boundary_target_ewma_ = static_cast<double>(dez_limit_pages_);
-  }
   // Staging is enabled (so recover() can replay the in-flight segment) but
   // only activated once the cache state is consistent: recovery's own reads
   // and healing writes must hit the device directly.
@@ -173,15 +153,12 @@ bool KddCache::destage_range(GroupId begin, GroupId end, IoPlan* plan) {
     if (g >= begin && g < end) in_range.push_back(g);
     return true;
   });
-  bool all_clear = true;
-  for (const GroupId g : in_range) {
-    if (!dirty_groups_.contains(g)) continue;  // cleaned by an earlier fold
-    if (!clean_group(g, plan)) all_clear = false;
-  }
+  destage_groups(in_range, plan);
   // Stripe barrier contract: the rebuild engine is about to trust the SSD
   // contents for this window, so nothing may linger in the RAM segment.
   ssd_.force_seal(plan);
-  return all_clear;
+  return std::none_of(in_range.begin(), in_range.end(),
+                      [&](GroupId g) { return dirty_groups_.contains(g); });
 }
 
 bool KddCache::page_down(Lba lba) {
@@ -373,116 +350,10 @@ void KddCache::commit_staging(IoPlan* plan) {
   refresh_dez_gauges();
 }
 
-// ---------------------------------------------------------------------------
-// Adaptive DAZ/DEZ boundary
-// ---------------------------------------------------------------------------
-
-void KddCache::note_compressibility(double packed_ratio) {
-  const double w = kCompressibilityEwma;
-  comp_ewma_ = (1.0 - w) * comp_ewma_ + w * std::min(1.0, packed_ratio);
-}
-
-void KddCache::note_boundary_miss(Lba lba) {
-  if (!boundary_ghost_) return;
-  ++boundary_epoch_misses_;
-  if (boundary_ghost_->touch_and_check(lba)) ++boundary_epoch_ghost_hits_;
-}
-
-std::uint64_t KddCache::boundary_target_pages() const {
-  // Compressibility steers the share of cache pages the delta zone may hold:
-  // highly compressible deltas (EWMA near 0.2 of a page) earn up to 30% of
-  // the cache, incompressible ones (EWMA at 0.75+) shrink the zone to 4% —
-  // a DEZ full of near-page-size deltas is strictly worse than DAZ residency.
-  const double t = std::clamp((0.75 - comp_ewma_) / (0.75 - 0.20), 0.0, 1.0);
-  double frac = 0.04 + t * (0.30 - 0.04);
-  // Ghost-LRU marginal utility: when over half of this epoch's misses would
-  // have hit with a slightly larger DAZ, trade delta capacity for residency.
-  if (boundary_epoch_misses_ >= 16 &&
-      boundary_epoch_ghost_hits_ * 2 > boundary_epoch_misses_) {
-    frac *= 0.75;
-  }
-  const auto target =
-      static_cast<std::uint64_t>(frac * static_cast<double>(sets_.pages()));
-  return std::max<std::uint64_t>(1, target);
-}
-
-void KddCache::update_boundary() {
-  if (!config_.adaptive_boundary) return;
-  if (op_counter_ - last_boundary_op_ < config_.boundary_epoch_ops) return;
-  last_boundary_op_ = op_counter_;
-  // Under mixed compressibility one epoch's raw target swings widely: the
-  // compressibility EWMA wanders by about +-0.07 between epochs, and with
-  // ghost hits near half of the misses the x0.75 ghost factor flips on a
-  // single hit. The boundary follows an EWMA of the raw target instead, which
-  // still reaches 90% of a genuine phase shift within eight epochs.
-  boundary_target_ewma_ +=
-      kBoundaryTargetEwma *
-      (static_cast<double>(boundary_target_pages()) - boundary_target_ewma_);
-  const auto target = static_cast<std::uint64_t>(std::llround(boundary_target_ewma_));
-  // Dead band + bounded step + two-epoch confirmation: residual ripple that
-  // lands the target just outside the dead band on *alternating* sides never
-  // moves the boundary, while a genuine phase shift is delayed by at most one
-  // epoch (tests/test_elastic.cpp pins this down).
-  const std::uint64_t dead_band = std::max<std::uint64_t>(1, sets_.pages() / 64);
-  const std::uint64_t step = std::max<std::uint64_t>(1, sets_.pages() / 32);
-  const std::uint64_t cur = dez_limit_pages_;
-  std::int8_t dir = 0;
-  if (target > cur && target - cur > dead_band) {
-    dir = 1;
-  } else if (cur > target && cur - target > dead_band) {
-    dir = -1;
-  }
-  std::uint64_t next = cur;
-  if (dir != 0 && dir == boundary_pending_dir_) {
-    next = dir > 0 ? std::min(cur + step, target)
-                   : (cur > step ? std::max(cur - step, target) : target);
-  }
-  boundary_pending_dir_ = dir;
-  if (next != cur) {
-    dez_limit_pages_ = next;
-    ++boundary_moves_;
-    kdd_metrics().boundary_moves.inc();
-  }
-  boundary_epoch_misses_ = 0;
-  boundary_epoch_ghost_hits_ = 0;
-  refresh_dez_gauges();
-}
-
-std::uint32_t KddCache::delta_admit_limit() const {
-  // A saturated delta zone stops admitting marginal (barely-compressible)
-  // deltas: they would evict twice their value in DAZ pages. They go
-  // write-through instead, exactly like incompressible ones.
-  if (config_.adaptive_boundary && dez_limit_pages_ > 0 &&
-      dez_pages_ >= dez_limit_pages_) {
-    return static_cast<std::uint32_t>(kPageSize / 2);
-  }
-  return static_cast<std::uint32_t>(kPageSize);
-}
-
-std::uint64_t KddCache::elastic_spare_pages() const {
-  if (!config_.adaptive_boundary || dez_limit_pages_ == 0) return 0;
-  return dez_pages_ < dez_limit_pages_ ? dez_limit_pages_ - dez_pages_ : 0;
-}
-
-std::uint64_t KddCache::effective_clean_high_pages() const {
-  const auto high = static_cast<std::uint64_t>(
-      config_.clean_high_watermark * static_cast<double>(sets_.pages()));
-  const std::uint64_t spare = elastic_spare_pages();
-  if (spare == 0 || sets_.pages() == 0) return high;
-  // Degraded/rebuilding arrays get the whole spare — deferring parity work
-  // off the critical path is exactly what the reclaimed capacity is for.
-  // Healthy arrays keep most of it as destage-burst headroom.
-  const bool stressed = rebuild_ && rebuild_->health() != ArrayHealth::kHealthy;
-  const std::uint64_t boost = stressed ? spare : spare / 4;
-  return std::min(high + boost, static_cast<std::uint64_t>(sets_.pages()) - 1);
-}
-
 void KddCache::refresh_dez_gauges() {
   KddMetrics& m = kdd_metrics();
   m.dez_live_bytes.set(static_cast<std::int64_t>(dez_space_.live_bytes()));
   m.dez_dead_bytes.set(static_cast<std::int64_t>(dez_space_.dead_bytes()));
-  m.dez_boundary_pages.set(static_cast<std::int64_t>(dez_limit_pages_));
-  m.dez_spare_pages.set(static_cast<std::int64_t>(elastic_spare_pages()));
 }
 
 // ---------------------------------------------------------------------------
@@ -722,7 +593,6 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
   }
   ++stats_.read_misses;
   obs::health_cache_miss();
-  note_boundary_miss(lba);
   IoStatus st = raid_.read_page(lba, out, plan);
   if (st != IoStatus::kOk && page_down(lba)) {
     // Degraded miss in a stale group: the array refuses to reconstruct a
@@ -731,7 +601,7 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
     // reconstructing read.
     const GroupId g = raid_.layout().group_of(lba);
     if (dirty_groups_.contains(g)) {
-      clean_group(g, plan);
+      destage_groups(std::span<const GroupId>(&g, 1), plan);
       st = raid_.read_page(lba, out, plan);
       if (st == IoStatus::kOk) {
         ++degraded_delta_folds_;
@@ -766,7 +636,7 @@ IoStatus KddCache::degraded_write_page(Lba lba, std::span<const std::uint8_t> da
     // current, reconstruction becomes safe — and retry.
     const GroupId g = raid_.layout().group_of(lba);
     if (dirty_groups_.contains(g)) {
-      clean_group(g, plan);
+      destage_groups(std::span<const GroupId>(&g, 1), plan);
       st = raid_.write_page(lba, data, plan);
       if (st == IoStatus::kOk) {
         ++degraded_delta_folds_;
@@ -783,7 +653,6 @@ void KddCache::write_preamble(IoPlan* plan) {
     rebuild_->note_foreground();
     if (rebuild_->health() != ArrayHealth::kHealthy) rebuild_->pump(plan);
   }
-  update_boundary();
 }
 
 IoStatus KddCache::write(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan) {
@@ -810,7 +679,6 @@ IoStatus KddCache::write_inner(Lba lba, std::span<const std::uint8_t> data,
     // claims the array write as clean waits for all of them.
     ++stats_.write_misses;
     obs::health_cache_miss();
-    note_boundary_miss(lba);
     WriteFork fork(plan);
     ScratchPages images(0);
     std::vector<const Page*> members;
@@ -891,10 +759,6 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
                                     DeltaInfo info, WriteFork& fork) {
   IoPlan* const plan = fork.parent();
   CacheSets::CacheSlot& slot = sets_.slot(idx);
-  if (info.ok) {
-    note_compressibility(static_cast<double>(info.packed) /
-                         static_cast<double>(kPageSize));
-  }
 
   if (slot.state == PageState::kClean) {
     if (!info.ok) {
@@ -924,7 +788,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
       }
       return IoStatus::kOk;
     }
-    if (info.packed > delta_admit_limit()) {
+    if (info.packed > kPageSize) {
       // Incompressible delta: no benefit in deferring — stay write-through
       // (degraded-capable: folds the group and retries when the array
       // refuses). Array first, cache refresh second — see above.
@@ -1008,14 +872,14 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     // write through conventionally and re-admit the newest version.
     const GroupId g = raid_.layout().group_of(lba);
     if (dirty_groups_.contains(g)) {
-      clean_group(g, plan);
+      destage_groups(std::span<const GroupId>(&g, 1), plan);
       ++degraded_delta_folds_;
       kdd_metrics().degraded_delta_folds.inc();
     }
     const IoStatus wst = degraded_write_page(lba, data, plan);
     if (wst != IoStatus::kOk) return wst;
-    // clean_group either reclaimed the slot as clean (scheme 1) or dropped
-    // it (scheme 2); refresh what survives, else admit fresh.
+    // The fold either reclaimed the slot as clean (scheme 1) or dropped it
+    // (scheme 2); refresh what survives, else admit fresh.
     const std::uint32_t cur = sets_.find_data(set, lba);
     if (cur != CacheSets::kNone) {
       if (ssd_.write_data(cur, SsdWriteKind::kWriteUpdate, data, plan) ==
@@ -1042,7 +906,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     add_map_entry(ns, plan);
     return IoStatus::kOk;
   }
-  if (info.packed > delta_admit_limit()) {
+  if (info.packed > kPageSize) {
     fork.join();
     ++delta_fallbacks_;
     kdd_metrics().delta_fallbacks.inc();
@@ -1119,7 +983,8 @@ IoStatus KddCache::write_prepared(Lba lba, std::span<const std::uint8_t> data,
 
 void KddCache::maybe_clean(IoPlan* plan) {
   if (cleaning_) return;
-  const std::uint64_t high = effective_clean_high_pages();
+  const auto high = static_cast<std::uint64_t>(
+      config_.clean_high_watermark * static_cast<double>(sets_.pages()));
   if (old_pages_ + dez_pages_ <= high) return;
   cleaning_ = true;
   const obs::SpanScope span(obs::Stage::kClean);
@@ -1145,155 +1010,15 @@ void KddCache::clean_all(IoPlan* plan) {
 }
 
 bool KddCache::destage_batch_once(IoPlan* plan) {
-  const std::vector<GroupId> groups = destage_claim(destage_batch_size());
-  if (groups.empty()) return false;
+  return destage_groups(destage_claim(destage_batch_size()), plan);
+}
+
+bool KddCache::destage_groups(std::span<const GroupId> groups, IoPlan* plan) {
   std::unique_ptr<BatchUnit> unit = destage_prepare(groups, plan);
   if (!unit) return false;
   unit->fold();
   destage_commit(*unit, plan);
   return true;
-}
-
-bool KddCache::clean_group(GroupId g, IoPlan* plan) {
-  const RaidLayout& layout = raid_.layout();
-  const std::uint32_t dd = layout.geometry().data_disks();
-  const std::uint32_t set = set_for(layout.group_member(g, 0));
-  const std::uint32_t base = set * sets_.ways();
-
-  std::vector<std::uint32_t> old_slots;
-  for (std::uint32_t w = 0; w < sets_.ways(); ++w) {
-    const CacheSets::CacheSlot& s = sets_.slot(base + w);
-    if (s.state == PageState::kOld && layout.group_of(s.lba) == g) {
-      old_slots.push_back(base + w);
-    }
-  }
-  KDD_CHECK(!old_slots.empty());
-
-  // Reconstruct-write only if every data member of the stripe is resident
-  // (Section III-D); otherwise RMW folds the deltas into the stale parity.
-  bool all_cached = true;
-  std::vector<std::uint32_t> member_slots(dd, CacheSets::kNone);
-  for (std::uint32_t k = 0; k < dd; ++k) {
-    member_slots[k] = sets_.find_data(set, layout.group_member(g, k));
-    if (member_slots[k] == CacheSets::kNone) {
-      all_cached = false;
-      break;
-    }
-  }
-
-  const bool real = ssd_.real();
-  if (all_cached) {
-    // Member images live in arena scratch (released on every exit path,
-    // including the heal_group early returns).
-    ScratchPages data_sp(dd);
-    std::vector<Page>& data = data_sp.vec();
-    ScratchPage xor_scratch;
-    std::vector<const Page*> ptrs(dd, nullptr);
-    for (std::uint32_t k = 0; k < dd; ++k) {
-      const CacheSets::CacheSlot& ms = sets_.slot(member_slots[k]);
-      if (real) {
-        if (ssd_.read_data(member_slots[k], data[k], plan) != IoStatus::kOk) {
-          // Unreadable cache copy: leave ptrs[k] null so the array reads the
-          // member from disk (which is current for clean AND old pages).
-          note_media_fallback("member daz unreadable while cleaning");
-          continue;
-        }
-        if (ms.state == PageState::kOld) {
-          Delta d;
-          if (!load_delta(ms, d, plan)) {
-            note_media_fallback("member delta unreadable while cleaning");
-            continue;
-          }
-          // Fold the delta in place: DAZ base ^ raw XOR == current version.
-          xor_into(data[k], delta_xor_view(d, *xor_scratch));
-        }
-      } else {
-        ssd_.read_data(member_slots[k], {}, plan);
-        if (ms.state == PageState::kOld) charge_delta_read(ms, plan);
-      }
-      ptrs[k] = &data[k];
-    }
-    const IoStatus st = raid_.update_parity_reconstruct_cached(g, ptrs, plan);
-    if (st != IoStatus::kOk) {
-      note_media_fallback("reconstruct-write failed while cleaning");
-      heal_group(g, plan);
-      return !dirty_groups_.contains(g);
-    }
-  } else {
-    ScratchPages diffs_sp(old_slots.size());
-    std::vector<Page>& diffs = diffs_sp.vec();
-    std::vector<GroupDelta> deltas;
-    deltas.reserve(old_slots.size());
-    for (std::size_t i = 0; i < old_slots.size(); ++i) {
-      const CacheSets::CacheSlot& s = sets_.slot(old_slots[i]);
-      if (real) {
-        Delta d;
-        if (!load_delta(s, d, plan)) {
-          // One lost delta poisons the whole RMW: heal the group instead.
-          note_media_fallback("delta unreadable for cleaning rmw");
-          heal_group(g, plan);
-          return !dirty_groups_.contains(g);
-        }
-        KDD_CHECK(delta_to_xor_into(d, diffs[i]));
-      } else {
-        charge_delta_read(s, plan);
-      }
-      deltas.push_back({layout.index_in_group(s.lba), &diffs[i]});
-    }
-    const IoStatus st = raid_.update_parity_rmw(g, deltas, plan);
-    if (st != IoStatus::kOk) {
-      note_media_fallback("parity rmw failed while cleaning");
-      heal_group(g, plan);
-      return !dirty_groups_.contains(g);
-    }
-  }
-
-  // Reclaim (Section III-D): scheme 1 rewrites the combined page as clean;
-  // scheme 2 (the paper's choice) simply drops old pages and their deltas.
-  ScratchPage reclaim_sp;  // hoisted: one borrow for the whole reclaim loop
-  ScratchPage reclaim_xor_sp;
-  for (const std::uint32_t os : old_slots) {
-    CacheSets::CacheSlot& s = sets_.slot(os);
-    if (config_.reclaim_as_clean) {
-      if (real) {
-        Page& current = *reclaim_sp;
-        Delta d;
-        const bool readable = ssd_.read_data(os, current, plan) == IoStatus::kOk &&
-                              load_delta(s, d, plan);
-        if (!readable) {
-          // Cannot rebuild the combined page: fall back to scheme-2 drop
-          // (parity for the group is already up to date at this point).
-          note_media_fallback("combined page unreadable at reclaim");
-          invalidate_delta(os, plan);
-          drop_old_page(os, plan);
-          continue;
-        }
-        // DAZ base ^ raw XOR == combined page, computed in place.
-        xor_into(current, delta_xor_view(d, *reclaim_xor_sp));
-        invalidate_delta(os, plan);
-        if (ssd_.write_data(os, SsdWriteKind::kWriteUpdate, current, plan) !=
-            IoStatus::kOk) {
-          note_media_fallback("reclaim rewrite failed");
-          drop_old_page(os, plan);
-          continue;
-        }
-      } else {
-        ssd_.read_data(os, {}, plan);
-        charge_delta_read(s, plan);
-        invalidate_delta(os, plan);
-        ssd_.write_data(os, SsdWriteKind::kWriteUpdate, {}, plan);
-      }
-      sets_.set_state(os, PageState::kClean);
-      add_map_entry(os, plan);
-      note_group_repair(raid_.layout().group_of(s.lba));
-      --old_pages_;
-    } else {
-      invalidate_delta(os, plan);
-      drop_old_page(os, plan);
-    }
-  }
-  ++stats_.groups_cleaned;
-  return !dirty_groups_.contains(g);
 }
 
 // ---------------------------------------------------------------------------
@@ -1388,7 +1113,7 @@ std::unique_ptr<BatchUnit> KddCache::destage_prepare(
     KDD_CHECK(!gw.pages.empty());
 
     // Reconstruct-write when every data member is cache-resident
-    // (Section III-D), exactly like the per-group cleaner.
+    // (Section III-D); otherwise RMW folds the deltas into the stale parity.
     std::vector<std::uint32_t> member_slots(dd, CacheSets::kNone);
     gw.reconstruct = true;
     for (std::uint32_t k = 0; k < dd; ++k) {
@@ -1461,14 +1186,12 @@ void KddCache::destage_commit(BatchUnit& unit, IoPlan* plan) {
   // Pass 1 — revalidate against live slot state and update parity. Groups
   // no longer dirty are skipped; individual pages resolved since prepare
   // are dropped from the group so their diff is never double-applied.
-  // Reconstruct-flavour groups commit one by one; RMW-flavour groups
-  // coalesce into a single batched call (one parity read + one fold + one
-  // parity write per group).
+  // Reconstruct-flavour groups commit here; RMW-flavour groups follow in
+  // claim order, each one parity read + one fold of all its deltas + one
+  // parity write.
   std::vector<BatchUnit::GroupWork*> rmw_groups;
-  std::vector<std::vector<GroupDelta>> rmw_deltas;  // stable inner buffers
   std::vector<BatchUnit::GroupWork*> reclaimable;
   rmw_groups.reserve(unit.work.size());
-  rmw_deltas.reserve(unit.work.size());
   reclaimable.reserve(unit.work.size());
   for (BatchUnit::GroupWork& gw : unit.work) {
     if (!dirty_groups_.contains(gw.group)) continue;
@@ -1497,35 +1220,24 @@ void KddCache::destage_commit(BatchUnit& unit, IoPlan* plan) {
       }
       reclaimable.push_back(&gw);
     } else {
-      std::vector<GroupDelta> deltas;
-      if (real) {
-        deltas.reserve(gw.pages.size());
-        for (const BatchUnit::PageWork& pw : gw.pages) {
-          KDD_CHECK(pw.have_blob);
-          deltas.push_back({pw.index, &pw.xor_diff});
-        }
-      }
-      rmw_deltas.push_back(std::move(deltas));
       rmw_groups.push_back(&gw);
     }
   }
-  if (!rmw_groups.empty()) {
-    std::vector<GroupParityUpdate> updates(rmw_groups.size());
-    for (std::size_t i = 0; i < rmw_groups.size(); ++i) {
-      updates[i].group = rmw_groups[i]->group;
-      updates[i].deltas = rmw_deltas[i];
-      updates[i].finalize = true;
-    }
-    std::vector<GroupId> failed;
-    (void)raid_.update_parity_rmw_batch(updates, plan, &failed);
-    for (BatchUnit::GroupWork* gw : rmw_groups) {
-      if (std::find(failed.begin(), failed.end(), gw->group) != failed.end()) {
-        note_media_fallback("parity rmw failed while cleaning");
-        heal_group(gw->group, plan);
-        continue;
+  std::vector<GroupDelta> deltas;
+  for (BatchUnit::GroupWork* gw : rmw_groups) {
+    deltas.clear();
+    if (real) {
+      for (const BatchUnit::PageWork& pw : gw->pages) {
+        KDD_CHECK(pw.have_blob);
+        deltas.push_back({pw.index, &pw.xor_diff});
       }
-      reclaimable.push_back(gw);
     }
+    if (raid_.update_parity_rmw(gw->group, deltas, plan) != IoStatus::kOk) {
+      note_media_fallback("parity rmw failed while cleaning");
+      heal_group(gw->group, plan);
+      continue;
+    }
+    reclaimable.push_back(gw);
   }
 
   // Pass 2 — reclaim (Section III-D): scheme 1 rewrites the combined page as
@@ -1797,11 +1509,14 @@ void KddCache::recover() {
   // end offset past the page. None of the extent's mappings can be told
   // apart by generation, and the RAID copy of every mapped page is current
   // (write_page_nopar lands before any delta is staged), so drop every
-  // mapping into the extent; the affected groups resync from data below.
+  // mapping into the extent. A dropped page's delta never reaches parity, so
+  // its group must not be destaged from the deltas that remain: step 4 heals
+  // each such group that is still dirty, and step 6 resyncs the rest.
   std::unordered_set<std::uint32_t> mixed;
   for (const auto& [dez_idx, c] : census) {
     if (c.tail > kPageSize || c.live_bytes > c.tail) mixed.insert(dez_idx);
   }
+  std::vector<GroupId> lost_mapping;
   for (const std::uint32_t dez_idx : mixed) {
     census.erase(dez_idx);
     note_media_fallback("mixed-generation dez mappings at recovery");
@@ -1809,6 +1524,7 @@ void KddCache::recover() {
     for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
       CacheSets::CacheSlot& s = sets_.slot(i);
       if (s.state != PageState::kOld || s.dez_idx != dez_idx) continue;
+      lost_mapping.push_back(raid_.layout().group_of(s.lba));
       s.dez_idx = CacheSets::kNone;
       s.dez_off = 0;
       s.dez_len = 0;
@@ -1834,7 +1550,9 @@ void KddCache::recover() {
   //    delta recorded in the log for the same page. A staged delta whose slot
   //    does not match (the crash hit between NVRAM staging and the metadata
   //    append) is an orphan: its page cannot be trusted, so the whole group
-  //    is healed from the RAID copy.
+  //    is healed from the RAID copy. So is every group that lost a mapping
+  //    to the audit above and is still (or, through a staged delta, again)
+  //    dirty: its remaining deltas would leave parity stale if destaged.
   std::vector<Lba> orphaned;
   for (const StagedDelta& sd : nvram_->staging.entries()) {
     CacheSets::CacheSlot& s = sets_.slot(sd.daz_idx);
@@ -1867,6 +1585,12 @@ void KddCache::recover() {
     note_media_fallback("orphaned staged delta at recovery");
     nvram_->staging.erase(lba);
     heal_group(raid_.layout().group_of(lba), nullptr);
+  }
+  std::sort(lost_mapping.begin(), lost_mapping.end());
+  lost_mapping.erase(std::unique(lost_mapping.begin(), lost_mapping.end()),
+                     lost_mapping.end());
+  for (const GroupId g : lost_mapping) {
+    if (dirty_groups_.contains(g)) heal_group(g, nullptr);
   }
 
   // 5. Torn-page audit (prototype mode): a power cut can tear the very DAZ or

@@ -592,20 +592,6 @@ IoStatus RaidArray::update_parity_rmw(GroupId g, std::span<const GroupDelta> del
   return IoStatus::kOk;
 }
 
-IoStatus RaidArray::update_parity_rmw_batch(
-    std::span<const GroupParityUpdate> updates, IoPlan* plan,
-    std::vector<GroupId>* failed) {
-  IoStatus worst = IoStatus::kOk;
-  for (const GroupParityUpdate& up : updates) {
-    const IoStatus st = update_parity_rmw(up.group, up.deltas, plan, up.finalize);
-    if (st != IoStatus::kOk) {
-      worst = st;
-      if (failed) failed->push_back(up.group);
-    }
-  }
-  return worst;
-}
-
 IoStatus RaidArray::update_parity_reconstruct(GroupId g,
                                               std::span<const Page* const> current_data,
                                               IoPlan* plan) {

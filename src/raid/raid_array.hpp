@@ -27,15 +27,6 @@ struct GroupDelta {
   const Page* xor_diff;
 };
 
-/// One group's worth of deferred parity work inside a destage batch: the
-/// accumulated XOR deltas of several data members, folded into the stale
-/// parity with a single read + XOR-accumulate + write per parity device.
-struct GroupParityUpdate {
-  GroupId group = 0;
-  std::span<const GroupDelta> deltas;  ///< one entry per dirty member
-  bool finalize = true;                ///< clear the group's staleness
-};
-
 /// How many of `lba`'s row-mates `members` supplies an image for: the
 /// non-null entries other than `lba`'s own. An empty span supplies none;
 /// otherwise it holds one entry per data member of the group.
@@ -95,17 +86,6 @@ class RaidArray {
   /// group marked stale.
   IoStatus update_parity_rmw(GroupId g, std::span<const GroupDelta> deltas,
                              IoPlan* plan = nullptr, bool finalize = true);
-
-  /// Batched destage: applies one RMW-style parity update per entry, in the
-  /// caller's (disk-layout) order. Each group still costs exactly one parity
-  /// read + one XOR-accumulate over all of its deltas + one parity write per
-  /// parity device — the batch form exists so a whole destage pass crosses
-  /// the array interface once and failures stay per-group. Groups whose RMW
-  /// fails are appended to `failed` (when non-null) and do NOT abort the
-  /// rest of the batch. Returns kOk iff every group succeeded.
-  IoStatus update_parity_rmw_batch(std::span<const GroupParityUpdate> updates,
-                                   IoPlan* plan = nullptr,
-                                   std::vector<GroupId>* failed = nullptr);
 
   /// Reconstruct-write-style parity update: the caller supplies the *current*
   /// contents of every data member (entries may be nullptr, in which case
