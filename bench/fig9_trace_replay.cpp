@@ -35,12 +35,6 @@ bool run_telemetry_replay(const char* out_dir, double scale,
   PolicyConfig cfg;
   cfg.ssd_pages = cache_pages;
   cfg.delta_ratio_mean = 0.25;
-  // The instrumented replay runs with segment staging on so the
-  // kdd_segment_* seal/fill/write-amplification metrics flow into the
-  // exported artifacts (CI's obs-smoke job schema-validates them). The
-  // figure table above stays unstaged: its SSD-write counts are the
-  // paper's per-page baseline.
-  cfg.segment_staging = true;
   const RaidGeometry geo = paper_geometry(compute_stats(trace).max_page);
 
   TelemetrySession::Options opts;

@@ -15,14 +15,9 @@
 //     core the paired off/on rounds time-slice against the process's own
 //     background work and the median ratio is noise, so the number is
 //     recorded in BENCH_micro.json without gating,
-//   * segment staging: the same prototype KDD write stream replayed with
-//     segment staging off and on must commit the identical page stream with
-//     >= 4x fewer SSD write commands per committed page, and the post-flush
-//     read-back digests must be byte-identical (deterministic counters, so
-//     this gates on every host),
 //   * page hash: kern::page_hash over a 4 KiB page must be >= 8x faster
 //     than the byte-serial 64-bit FNV-1a loop it replaced as the media
-//     checksum and segment CRC. Both sides are measured in the same run, so
+//     checksum. Both sides are measured in the same run, so
 //     page_hash_4k's before_ns is that loop on this host, not a seed figure,
 //   * destage batching: folding 4 groups x 4 deltas of stale parity with one
 //     update_parity_rmw per group (one parity read/write pair per group, as
@@ -30,7 +25,9 @@
 //     per-page protocol (one parity read/write pair per delta).
 //
 // It records, without gating, the front door's replay throughput at 1, 2, 4
-// and 8 submitter threads (concurrent_scaling in BENCH_micro.json).
+// and 8 submitter threads (concurrent_scaling in BENCH_micro.json): five
+// rounds, each replaying once per submitter count, reported as the median
+// with the min and max per count.
 //
 // It also records ns/op for the observability primitives themselves
 // (MetricsRegistry counter increment, SpanScope start/stop with tracing off
@@ -55,7 +52,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -88,7 +84,7 @@ Page random_page(std::uint64_t seed) {
 }
 
 /// The byte-serial 64-bit FNV-1a loop that kern::page_hash replaced in the
-/// fault device and the segment CRCs, kept only as page_hash_4k's "before".
+/// fault device, kept only as page_hash_4k's "before".
 std::uint64_t fnv1a_bytes(std::uint64_t h, std::span<const std::uint8_t> bytes) {
   for (const std::uint8_t b : bytes) {
     h ^= b;
@@ -198,96 +194,50 @@ ReplayPair measure_replay_pair(const Trace& trace, int rounds) {
   return r;
 }
 
-/// Segment-staging commit gate: one seeded write-heavy prototype replay,
-/// once with per-page cache writes and once with log-structured segment
-/// staging. Both runs see the identical request stream, so the committed
-/// page count matches exactly; staging must collapse those commits into
-/// >= 4x fewer SSD write commands while the post-flush read-back digest
-/// stays byte-identical (staging batches device commands — it must never
-/// change bytes).
-struct SegmentCommitRun {
-  std::uint64_t write_ops = 0;        ///< host write commands to the cache SSD
-  std::uint64_t pages_committed = 0;  ///< cache page commits driving them
-  std::uint64_t seq_ops = 0;          ///< SsdModel sequential (vectored) commands
-  std::uint64_t digest = 0;           ///< page_hash over the full read-back image
-  double ms = 0.0;
-};
-SegmentCommitRun run_segment_commit(bool staged) {
-  RaidGeometry geo;
-  geo.level = RaidLevel::kRaid5;
-  geo.num_disks = 5;
-  geo.chunk_pages = 4;
-  geo.disk_pages = 1024;
-  RaidArray array(geo);
-  SsdConfig scfg;
-  scfg.logical_pages = 2048;
-  SsdModel ssd(scfg);
-  PolicyConfig cfg;
-  cfg.ssd_pages = scfg.logical_pages;
-  cfg.segment_staging = staged;
-  KddCache kdd(cfg, &array, &ssd);
-  const ContentGenerator gen(77);
-  Rng rng(78);
-  const Lba span = 1500;
-  std::unordered_map<Lba, Page> model;
-  Page buf(kPageSize);
-  const double t0 = now_ns();
-  for (int i = 0; i < 12000; ++i) {
-    const Lba lba = rng.next_below(span);
-    if (rng.next_bool(0.7)) {
-      auto it = model.find(lba);
-      Page data = it == model.end() ? gen.base_page(lba)
-                                    : gen.mutate(it->second, 0.25, rng);
-      if (kdd.write(lba, data, nullptr) != IoStatus::kOk) std::abort();
-      model[lba] = std::move(data);
-    } else {
-      if (kdd.read(lba, buf, nullptr) != IoStatus::kOk) std::abort();
-    }
-  }
-  kdd.flush(nullptr);
-  SegmentCommitRun r;
-  r.ms = (now_ns() - t0) / 1e6;
-  std::uint64_t h = kern::kPageHashSeed;
-  for (Lba lba = 0; lba < span; ++lba) {
-    if (kdd.read(lba, buf, nullptr) != IoStatus::kOk) std::abort();
-    h = kern::page_hash(h, buf);
-  }
-  r.digest = h;
-  r.write_ops = kdd.cache_ssd().write_ops();
-  r.pages_committed = kdd.cache_ssd().pages_committed();
-  r.seq_ops = ssd.wear().host_write_ops_seq;
-  return r;
-}
-
 /// Thread-scaling record for BENCH_micro.json: replay throughput through
 /// the ConcurrentCache front door at 1/2/4/8 submitter threads, each run
 /// with the single idle cleaner. Recorded, not gated: the baseline a
-/// sharded front door has to beat.
+/// sharded front door has to beat. A single replay moves by up to a quarter
+/// between runs, so each count is replayed once per round, the counts
+/// interleaved within a round (a slow stretch of the host hits all of
+/// them), and the median round is reported with the spread.
 struct ScalePoint {
   unsigned threads;
-  double kops;
+  double kops;      ///< median over the rounds
+  double min_kops;
+  double max_kops;
 };
+constexpr int kScalingRounds = 5;
 std::vector<ScalePoint> measure_concurrent_scaling() {
   SyntheticTraceConfig tcfg = fin1_config(0.01);
   tcfg.seed = 11;
   const Trace trace = generate_synthetic_trace(tcfg);
   const RaidGeometry geo = paper_geometry(tcfg.unique_total());
   const std::uint64_t array_pages = geo.data_pages();
+  constexpr unsigned kThreads[] = {1u, 2u, 4u, 8u};
+  std::vector<std::vector<double>> kops(std::size(kThreads));
+  for (int round = 0; round < kScalingRounds; ++round) {
+    for (std::size_t t = 0; t < std::size(kThreads); ++t) {
+      RaidArray array(geo);
+      SsdConfig scfg;
+      scfg.logical_pages = 4096;
+      SsdModel ssd(scfg);
+      PolicyConfig cfg;
+      cfg.ssd_pages = scfg.logical_pages;
+      KddCache kdd(cfg, &array, &ssd);
+      ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(2));
+      const double t0 = now_ns();
+      const ConcurrentReplayResult r = run_concurrent_trace(
+          cache, array.layout(), trace, array_pages, kThreads[t], /*seed=*/7);
+      const double ms = (now_ns() - t0) / 1e6;
+      kops[t].push_back(static_cast<double>(r.ops) / ms);
+    }
+  }
   std::vector<ScalePoint> out;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    RaidArray array(geo);
-    SsdConfig scfg;
-    scfg.logical_pages = 4096;
-    SsdModel ssd(scfg);
-    PolicyConfig cfg;
-    cfg.ssd_pages = scfg.logical_pages;
-    KddCache kdd(cfg, &array, &ssd);
-    ConcurrentCache cache(&kdd, &array.layout(), std::chrono::milliseconds(2));
-    const double t0 = now_ns();
-    const ConcurrentReplayResult r = run_concurrent_trace(
-        cache, array.layout(), trace, array_pages, threads, /*seed=*/7);
-    const double ms = (now_ns() - t0) / 1e6;
-    out.push_back({threads, static_cast<double>(r.ops) / ms});
+  for (std::size_t t = 0; t < std::size(kThreads); ++t) {
+    std::vector<double>& v = kops[t];
+    std::sort(v.begin(), v.end());
+    out.push_back({kThreads[t], v[v.size() / 2], v.front(), v.back()});
   }
   return out;
 }
@@ -585,49 +535,29 @@ int run(int argc, char** argv) {
               telemetry_gates ? "gate active: need <= 5.0%"
                               : "recorded, not gated: single core");
 
-  // Segment-staging commit efficiency: identical write stream, off vs on.
-  const SegmentCommitRun seg_off = run_segment_commit(false);
-  const SegmentCommitRun seg_on = run_segment_commit(true);
-  const double seg_reduction =
-      seg_on.write_ops > 0
-          ? static_cast<double>(seg_off.write_ops) / static_cast<double>(seg_on.write_ops)
-          : 0.0;
-  const bool seg_digests_match =
-      seg_off.digest == seg_on.digest &&
-      seg_off.pages_committed == seg_on.pages_committed;
-  std::printf("segment staging: %llu committed pages -> %llu write cmds "
-              "unstaged vs %llu staged (%llu sequential), %.1fx fewer cmds, "
-              "read-back digests %s (%.1f ms vs %.1f ms)\n",
-              static_cast<unsigned long long>(seg_off.pages_committed),
-              static_cast<unsigned long long>(seg_off.write_ops),
-              static_cast<unsigned long long>(seg_on.write_ops),
-              static_cast<unsigned long long>(seg_on.seq_ops),
-              seg_reduction, seg_digests_match ? "match" : "DIFFER",
-              seg_off.ms, seg_on.ms);
-
   // Front-door replay throughput by submitter count (recorded only).
   const std::vector<ScalePoint> scaling = measure_concurrent_scaling();
-  std::printf("\nconcurrent replay scaling (submitters -> kops/s, recorded only):");
-  for (const ScalePoint& p : scaling) std::printf(" %u=%.1f", p.threads, p.kops);
+  std::printf("\nconcurrent replay scaling (submitters -> median [min-max] kops/s "
+              "over %d rounds, recorded only):",
+              kScalingRounds);
+  for (const ScalePoint& p : scaling) {
+    std::printf(" %u=%.1f [%.1f-%.1f]", p.threads, p.kops, p.min_kops, p.max_kops);
+  }
   std::printf("\n");
 
   const bool pass = mul_speedup >= 3.0 && page_hash_speedup >= 8.0 &&
                     roundtrip_improvement >= 0.30 &&
                     (!telemetry_gates || obs_overhead <= 0.05) &&
-                    destage_speedup >= 2.0 &&
-                    seg_reduction >= 4.0 && seg_digests_match;
+                    destage_speedup >= 2.0;
   std::printf("\ngate: gf256_mul_acc speedup %.2fx (need >= 3.00x), "
               "page_hash speedup over byte-serial FNV-1a %.2fx (need >= 8.00x), "
               "delta_roundtrip %.1f%% fewer ns/op (need >= 30.0%%), "
               "telemetry overhead %.1f%% (%s), "
-              "destage batch speedup %.2fx (need >= 2.00x), "
-              "segment commit %.2fx fewer cmds (need >= 4.00x, digests %s) "
-              "-> %s\n",
+              "destage batch speedup %.2fx (need >= 2.00x) -> %s\n",
               mul_speedup, page_hash_speedup, roundtrip_improvement * 100.0,
               obs_overhead * 100.0,
               telemetry_gates ? "need <= 5.0%" : "recorded, not gated",
-              destage_speedup, seg_reduction,
-              seg_digests_match ? "match" : "DIFFER", pass ? "PASS" : "FAIL");
+              destage_speedup, pass ? "PASS" : "FAIL");
 
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f, "{\n");
@@ -664,23 +594,14 @@ int run(int argc, char** argv) {
                  "\"gated\": %s},\n",
                  replay_off_ms, replay_on_ms, obs_overhead,
                  telemetry_gates ? "true" : "false");
-    std::fprintf(f,
-                 "  \"segment_commit\": {\"pages_committed\": %llu, "
-                 "\"unstaged_write_ops\": %llu, \"staged_write_ops\": %llu, "
-                 "\"staged_seq_ops\": %llu, \"ops_reduction\": %.2f, "
-                 "\"digests_match\": %s, \"unstaged_ms\": %.2f, "
-                 "\"staged_ms\": %.2f},\n",
-                 static_cast<unsigned long long>(seg_off.pages_committed),
-                 static_cast<unsigned long long>(seg_off.write_ops),
-                 static_cast<unsigned long long>(seg_on.write_ops),
-                 static_cast<unsigned long long>(seg_on.seq_ops),
-                 seg_reduction, seg_digests_match ? "true" : "false",
-                 seg_off.ms, seg_on.ms);
     std::fprintf(f, "  \"concurrent_scaling\": [\n");
     for (std::size_t i = 0; i < scaling.size(); ++i) {
       const ScalePoint& p = scaling[i];
-      std::fprintf(f, "    {\"threads\": %u, \"kops_per_s\": %.1f}%s\n",
-                   p.threads, p.kops, i + 1 < scaling.size() ? "," : "");
+      std::fprintf(f,
+                   "    {\"threads\": %u, \"rounds\": %d, \"kops_per_s\": %.1f, "
+                   "\"min_kops_per_s\": %.1f, \"max_kops_per_s\": %.1f}%s\n",
+                   p.threads, kScalingRounds, p.kops, p.min_kops, p.max_kops,
+                   i + 1 < scaling.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
@@ -689,19 +610,15 @@ int run(int argc, char** argv) {
                  "\"delta_roundtrip_min_improvement\": 0.30, "
                  "\"telemetry_max_overhead\": 0.05, "
                  "\"destage_batch_min_speedup\": 2.0, "
-                 "\"segment_commit_min_reduction\": 4.0, "
                  "\"gf256_mul_acc_speedup\": %.2f, "
                  "\"page_hash_speedup\": %.2f, "
                  "\"delta_roundtrip_improvement\": %.3f, "
                  "\"telemetry_overhead\": %.4f, "
                  "\"telemetry_gated\": %s, "
-                 "\"destage_batch_speedup\": %.2f, "
-                 "\"segment_commit_reduction\": %.2f, "
-                 "\"segment_digests_match\": %s, \"pass\": %s}\n",
+                 "\"destage_batch_speedup\": %.2f, \"pass\": %s}\n",
                  mul_speedup, page_hash_speedup, roundtrip_improvement, obs_overhead,
                  telemetry_gates ? "true" : "false",
-                 destage_speedup, seg_reduction,
-                 seg_digests_match ? "true" : "false", pass ? "true" : "false");
+                 destage_speedup, pass ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());

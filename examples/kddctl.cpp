@@ -7,7 +7,6 @@
 //   read <lba>              read and fingerprint the page at <lba>
 //   verify                  re-read every written page and check contents
 //   stats                   Prometheus snapshot of the live metrics registry
-//                           + segment staging summary (fill, seals, WA gauge)
 //   health                  health engine JSON (SLO windows + alert table)
 //   alerts                  one line per burn-rate rule (state, fires, value)
 //   dump [path]             dump the flight recorder (default flight.json)
@@ -33,8 +32,6 @@
 #include <unordered_map>
 
 #include "blockdev/ssd_model.hpp"
-#include "cache/backend.hpp"
-#include "cache/segment.hpp"
 #include "common/stats.hpp"
 #include "compress/content.hpp"
 #include "kdd/kdd_cache.hpp"
@@ -88,10 +85,6 @@ struct Controller {
   void reset_cache(bool recover) {
     PolicyConfig cfg;
     cfg.ssd_pages = 4096;
-    // Segment staging on: commits accumulate in the RAM segment and hit the
-    // SSD as sealed sequential batches, so 'stats' shows the fill/seal/WA
-    // gauges moving as you type.
-    cfg.segment_staging = true;
     kdd = std::make_unique<KddCache>(cfg, &array, &ssd, &nvram, recover);
   }
 
@@ -192,25 +185,6 @@ int main() {
           obs::prometheus_text(obs::MetricsRegistry::global().snapshot())
               .c_str(),
           stdout);
-      // Human-readable segment staging summary on top of the raw registry:
-      // open-segment fill, seals so far, and the write-amplification gauge
-      // (SSD write commands per 1000 committed pages; 1000 = unstaged).
-      CacheSsd& cache = ctl.kdd->cache_ssd();
-      const SegmentStats& seg = cache.segment_stats();
-      const SegmentStager* stager = cache.stager();
-      const std::uint64_t seg_pages =
-          stager != nullptr ? stager->config().segment_pages : 0;
-      std::printf(
-          "# segment staging: fill %zu/%llu pages, %llu seals (%llu forced), "
-          "%.1f write cmds per kilopage committed\n",
-          stager != nullptr ? stager->live_pages() : std::size_t{0},
-          static_cast<unsigned long long>(seg_pages),
-          static_cast<unsigned long long>(seg.seals),
-          static_cast<unsigned long long>(seg.forced_seals),
-          cache.pages_committed() > 0
-              ? 1000.0 * static_cast<double>(cache.write_ops()) /
-                    static_cast<double>(cache.pages_committed())
-              : 0.0);
       // Delta-zone capacity: occupancy and live/dead packed bytes (dead =
       // holes left by superseded deltas).
       std::printf("# dez capacity: %llu pages, %llu live B, %llu dead B\n",

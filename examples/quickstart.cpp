@@ -35,9 +35,6 @@ int main() {
   // 3. KDD on top.
   PolicyConfig cfg;
   cfg.ssd_pages = ssd_cfg.logical_pages;
-  // Segment staging: committed pages accumulate in a RAM segment and land
-  // as one sealed sequential write instead of one command each.
-  cfg.segment_staging = true;
   KddCache kdd(cfg, &array, &ssd);
 
   // 4. A workload with content locality: each write changes ~20 % of a page.
@@ -80,15 +77,10 @@ int main() {
               static_cast<unsigned long long>(s.ssd_writes[3]),
               static_cast<unsigned long long>(s.metadata_ssd_writes()));
   const SsdWearStats wear = ssd.wear();
-  std::printf("SSD wear:          %llu NAND writes, WA %.2f, %llu erases\n",
+  std::printf("SSD wear:          %llu NAND writes, WA %.2f, %llu erases\n\n",
               static_cast<unsigned long long>(wear.nand_page_writes),
               wear.write_amplification(),
               static_cast<unsigned long long>(wear.block_erases));
-  std::printf("SSD host commands: %llu sequential (%s sealed) + %llu random (%s)\n\n",
-              static_cast<unsigned long long>(wear.host_write_ops_seq),
-              format_bytes(wear.host_bytes_seq()).c_str(),
-              static_cast<unsigned long long>(wear.host_write_ops_rand),
-              format_bytes(wear.host_bytes_rand()).c_str());
 
   // 7. Flush deferred parity and verify the array is fully consistent.
   kdd.flush();

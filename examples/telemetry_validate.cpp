@@ -182,20 +182,6 @@ void validate_prometheus_file(const std::string& dir, const std::string& file,
       check(type_families.count(family) > 0,
             file + ": missing family " + family);
     }
-    // Segment staging: the instrumented replay runs with staging on, so
-    // the seal/stage counters and the fill / write-amplification gauges
-    // must flow through every Prometheus surface.
-    for (const char* family :
-         {"kdd_segment_seals_total", "kdd_segment_forced_seals_total",
-          "kdd_segment_pages_sealed_total", "kdd_segment_pages_staged_total",
-          "kdd_segment_pages_coalesced_total",
-          "kdd_segment_fallback_page_writes_total",
-          "kdd_segment_lost_pages_total", "kdd_segment_recovered_total",
-          "kdd_segment_discarded_total", "kdd_segment_discarded_pages_total",
-          "kdd_segment_fill_permille", "kdd_segment_write_ops_per_kilopage"}) {
-      check(type_families.count(family) > 0,
-            file + ": missing family " + family);
-    }
     // Delta zone: the live and dead packed-byte gauges.
     for (const char* family : {"kdd_dez_live_bytes", "kdd_dez_dead_bytes"}) {
       check(type_families.count(family) > 0,

@@ -46,15 +46,6 @@ struct DeviceCounters {
   std::uint64_t total() const { return reads + writes; }
 };
 
-/// One entry of a vectored (scatter-gather) write. The target pages may be
-/// scattered in the logical address space — the point of write_multi is that
-/// flash devices lay the whole batch down as one physically sequential
-/// program burst, so a segment flush costs one host command instead of N.
-struct PageWrite {
-  Lba page = 0;
-  std::span<const std::uint8_t> data{};  ///< kPageSize bytes
-};
-
 class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
@@ -64,25 +55,6 @@ class BlockDevice {
 
   /// Writes one page at `page` from `data` (must be kPageSize bytes).
   virtual IoStatus write(Lba page, std::span<const std::uint8_t> data) = 0;
-
-  /// Vectored write: persists `batch` in order as one logical command.
-  /// Devices with no native batching fall back to N single writes; devices
-  /// that do override it (SsdModel, FaultInjectingDevice) preserve the
-  /// prefix-persistence contract: on a non-kOk return, exactly the first
-  /// `*pages_done` entries are durable, the failing entry is *at most*
-  /// partially persisted, and no later entry touched the media.
-  virtual IoStatus write_multi(std::span<const PageWrite> batch,
-                               std::size_t* pages_done = nullptr) {
-    std::size_t done = 0;
-    IoStatus st = IoStatus::kOk;
-    for (const PageWrite& w : batch) {
-      st = write(w.page, w.data);
-      if (st != IoStatus::kOk) break;
-      ++done;
-    }
-    if (pages_done) *pages_done = done;
-    return st;
-  }
 
   /// Device capacity in pages.
   virtual std::uint64_t num_pages() const = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/kernels.hpp"
@@ -165,6 +164,7 @@ IoStatus FaultInjectingDevice::do_torn_write(Lba page,
   }
   ++fault_counters_.torn_writes;
   fault_metrics().torn_writes.inc();
+  last_torn_page_ = page;
   KDD_LOG(Warn, "fault: torn write page=%llu (power rail cut)",
           static_cast<unsigned long long>(page));
   obs::flight_note_and_dump(obs::FlightKind::kPowerCut, "torn_write",
@@ -207,77 +207,6 @@ IoStatus FaultInjectingDevice::write(Lba page, std::span<const std::uint8_t> dat
             static_cast<unsigned long long>(page));
   }
   return IoStatus::kOk;
-}
-
-IoStatus FaultInjectingDevice::write_multi(std::span<const PageWrite> batch,
-                                           std::size_t* pages_done) {
-  for (const PageWrite& w : batch) {
-    KDD_CHECK(w.page < inner_->num_pages());
-    KDD_CHECK(w.data.size() == kPageSize);
-  }
-  std::size_t done = 0;
-  IoStatus st = IoStatus::kOk;
-  // Accepted pages accumulate in `run` and reach the inner device in batched
-  // write_multi calls, so a clean vector still counts as one sequential host
-  // command downstream. A fault splits the vector: the run so far is flushed
-  // (those pages are durable), the faulting page is handled exactly like the
-  // single-write path would handle it, and the tail never touches the media.
-  std::vector<PageWrite> run;
-  run.reserve(batch.size());
-  auto flush_run = [&] {
-    if (run.empty()) return;
-    std::size_t inner_done = 0;
-    const IoStatus inner_st = inner_->write_multi(run, &inner_done);
-    for (std::size_t k = 0; k < inner_done; ++k) {
-      ++media_writes_;
-      checksums_[run[k].page] = page_checksum(run[k].data);
-      if (media_errors_.erase(run[k].page) > 0) {
-        ++fault_counters_.media_errors_healed;
-        fault_metrics().media_errors_healed.inc();
-        KDD_LOG(Info, "fault: latent sector error healed by rewrite page=%llu",
-                static_cast<unsigned long long>(run[k].page));
-      }
-    }
-    done += inner_done;
-    if (inner_st != IoStatus::kOk && st == IoStatus::kOk) st = inner_st;
-    run.clear();
-  };
-  for (const PageWrite& w : batch) {
-    if (!rail_->on()) {
-      flush_run();
-      ++fault_counters_.power_cut_rejects;
-      fault_metrics().power_cut_rejects.inc();
-      if (st == IoStatus::kOk) st = IoStatus::kFailed;
-      break;
-    }
-    if (failed()) {
-      flush_run();
-      if (st == IoStatus::kOk) st = IoStatus::kFailed;
-      break;
-    }
-    if (config_.transient_write_prob > 0.0 &&
-        std::uniform_real_distribution<double>(0.0, 1.0)(rng_) <
-            config_.transient_write_prob) {
-      flush_run();
-      ++fault_counters_.transient_errors;
-      fault_metrics().transient_errors.inc();
-      if (st == IoStatus::kOk) st = IoStatus::kTransient;
-      break;
-    }
-    ++counters_.writes;
-    if (cut_countdown_ != kNotArmed) {
-      if (cut_countdown_ == 0) {
-        flush_run();
-        if (st == IoStatus::kOk) st = do_torn_write(w.page, w.data);
-        break;
-      }
-      --cut_countdown_;
-    }
-    run.push_back(w);
-  }
-  if (st == IoStatus::kOk) flush_run();
-  if (pages_done) *pages_done = done;
-  return st;
 }
 
 void FaultInjectingDevice::trim(Lba page) {

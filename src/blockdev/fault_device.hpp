@@ -74,14 +74,6 @@ class FaultInjectingDevice final : public BlockDevice {
 
   IoStatus read(Lba page, std::span<std::uint8_t> out) override;
   IoStatus write(Lba page, std::span<const std::uint8_t> data) override;
-  /// Vectored write with per-page fault semantics: each entry passes the same
-  /// rail/transient/power-cut checks a single write would, in order, so an
-  /// armed power cut can fire *mid-vector* — the preceding entries persist
-  /// fully (flushed to the inner device in batched runs, preserving its
-  /// sequential-write accounting), the countdown-th page is torn exactly like
-  /// a single torn write, and no later entry touches the media.
-  IoStatus write_multi(std::span<const PageWrite> batch,
-                       std::size_t* pages_done = nullptr) override;
   std::uint64_t num_pages() const override { return inner_->num_pages(); }
   void trim(Lba page) override;
 
@@ -128,6 +120,8 @@ class FaultInjectingDevice final : public BlockDevice {
   /// Writes that reached the media (incl. the torn one). The torture harness
   /// uses this from a dry run to choose a uniform crash-point index.
   std::uint64_t media_writes() const { return media_writes_; }
+  /// Page of the most recent torn write (kInvalidLba before any tear).
+  Lba last_torn_page() const { return last_torn_page_; }
 
   BlockDevice* inner() { return inner_; }
 
@@ -146,6 +140,7 @@ class FaultInjectingDevice final : public BlockDevice {
   std::unordered_map<Lba, std::uint64_t> checksums_;
   std::uint64_t cut_countdown_ = kNotArmed;
   std::uint64_t media_writes_ = 0;
+  Lba last_torn_page_ = kInvalidLba;
   FaultCounters fault_counters_;
 };
 

@@ -1,7 +1,6 @@
 #include "blockdev/file_device.hpp"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -69,68 +68,6 @@ IoStatus FileBlockDevice::write(Lba page, std::span<const std::uint8_t> data) {
     done += static_cast<std::size_t>(n);
   }
   return IoStatus::kOk;
-}
-
-IoStatus FileBlockDevice::write_multi(std::span<const PageWrite> batch,
-                                      std::size_t* pages_done) {
-  for (const PageWrite& w : batch) {
-    KDD_CHECK(w.page < pages_);
-    KDD_CHECK(w.data.size() == kPageSize);
-  }
-  std::size_t done = 0;
-  IoStatus st = IoStatus::kOk;
-  if (failed_) st = IoStatus::kFailed;
-  std::size_t i = 0;
-  while (st == IoStatus::kOk && i < batch.size()) {
-    // Coalesce a run of file-contiguous pages into one pwritev.
-    constexpr std::size_t kMaxIov = 64;
-    std::size_t run = 1;
-    while (i + run < batch.size() && run < kMaxIov &&
-           batch[i + run].page == batch[i + run - 1].page + 1) {
-      ++run;
-    }
-    if (run == 1) {
-      st = write(batch[i].page, batch[i].data);
-      if (st == IoStatus::kOk) ++done;
-      ++i;
-      continue;
-    }
-    struct iovec iov[kMaxIov];
-    for (std::size_t k = 0; k < run; ++k) {
-      iov[k].iov_base = const_cast<std::uint8_t*>(batch[i + k].data.data());
-      iov[k].iov_len = kPageSize;
-    }
-    std::size_t bytes = 0;
-    const std::size_t want = run * kPageSize;
-    off_t off = static_cast<off_t>(batch[i].page * kPageSize);
-    std::size_t first = 0;
-    while (bytes < want) {
-      const ssize_t n = ::pwritev(fd_, iov + first, static_cast<int>(run - first), off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        st = IoStatus::kFailed;
-        break;
-      }
-      bytes += static_cast<std::size_t>(n);
-      off += n;
-      // Advance past fully-written iovecs; shrink a partially-written one.
-      std::size_t adv = static_cast<std::size_t>(n);
-      while (adv > 0 && adv >= iov[first].iov_len) {
-        adv -= iov[first].iov_len;
-        ++first;
-      }
-      if (adv > 0) {
-        iov[first].iov_base = static_cast<std::uint8_t*>(iov[first].iov_base) + adv;
-        iov[first].iov_len -= adv;
-      }
-    }
-    const std::size_t full_pages = bytes / kPageSize;
-    counters_.writes += full_pages;
-    done += full_pages;
-    i += run;
-  }
-  if (pages_done) *pages_done = done;
-  return st;
 }
 
 void FileBlockDevice::trim(Lba page) {

@@ -22,11 +22,6 @@ class FileBlockDevice final : public BlockDevice {
 
   IoStatus read(Lba page, std::span<std::uint8_t> out) override;
   IoStatus write(Lba page, std::span<const std::uint8_t> data) override;
-  /// Vectored write. Runs of file-contiguous pages within the batch are
-  /// submitted as one pwritev each, so a sealed segment whose pages happen to
-  /// be adjacent costs one syscall; scattered pages degrade to per-run calls.
-  IoStatus write_multi(std::span<const PageWrite> batch,
-                       std::size_t* pages_done = nullptr) override;
   std::uint64_t num_pages() const override { return pages_; }
 
   /// Deallocates the page's file extent (punch-hole where supported, else an

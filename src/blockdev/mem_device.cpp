@@ -29,26 +29,6 @@ IoStatus MemBlockDevice::write(Lba page, std::span<const std::uint8_t> data) {
   return IoStatus::kOk;
 }
 
-IoStatus MemBlockDevice::write_multi(std::span<const PageWrite> batch,
-                                     std::size_t* pages_done) {
-  // One bounds/failure check up front, then a straight memcpy loop — the
-  // memory device's equivalent of a single multi-page DMA.
-  for (const PageWrite& w : batch) {
-    KDD_CHECK(w.page < pages_);
-    KDD_CHECK(w.data.size() == kPageSize);
-  }
-  if (failed_) {
-    if (pages_done) *pages_done = 0;
-    return IoStatus::kFailed;
-  }
-  for (const PageWrite& w : batch) {
-    ++counters_.writes;
-    std::memcpy(data_.data() + w.page * kPageSize, w.data.data(), kPageSize);
-  }
-  if (pages_done) *pages_done = batch.size();
-  return IoStatus::kOk;
-}
-
 void MemBlockDevice::replace() {
   data_.release();
   failed_ = false;

@@ -16,8 +16,6 @@ class MemBlockDevice final : public BlockDevice {
 
   IoStatus read(Lba page, std::span<std::uint8_t> out) override;
   IoStatus write(Lba page, std::span<const std::uint8_t> data) override;
-  IoStatus write_multi(std::span<const PageWrite> batch,
-                       std::size_t* pages_done = nullptr) override;
   std::uint64_t num_pages() const override { return pages_; }
 
   /// Replaces the device with a blank one (models swapping in a spare disk).

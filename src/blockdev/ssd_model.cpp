@@ -39,7 +39,10 @@ IoStatus SsdModel::read(Lba page, std::span<std::uint8_t> out) {
   return IoStatus::kOk;
 }
 
-void SsdModel::host_program(Lba page, std::span<const std::uint8_t> data) {
+IoStatus SsdModel::write(Lba page, std::span<const std::uint8_t> data) {
+  KDD_CHECK(page < config_.logical_pages);
+  KDD_CHECK(data.size() == kPageSize);
+  if (failed_) return IoStatus::kFailed;
   ++counters_.writes;
   ++host_page_writes_;
   const std::uint64_t old_phys = l2p_[page];
@@ -48,46 +51,6 @@ void SsdModel::host_program(Lba page, std::span<const std::uint8_t> data) {
   program(phys, data, /*is_gc_copy=*/false);
   l2p_[page] = phys;
   p2l_[phys] = page;
-}
-
-void SsdModel::charge_map_journal() {
-  if (config_.map_journal_bytes_per_op == 0) return;
-  journal_bytes_accum_ += config_.map_journal_bytes_per_op;
-  while (journal_bytes_accum_ >= kPageSize) {
-    journal_bytes_accum_ -= kPageSize;
-    ++nand_page_writes_;
-    ++journal_nand_pages_;
-  }
-}
-
-IoStatus SsdModel::write(Lba page, std::span<const std::uint8_t> data) {
-  KDD_CHECK(page < config_.logical_pages);
-  KDD_CHECK(data.size() == kPageSize);
-  if (failed_) return IoStatus::kFailed;
-  ++host_write_ops_rand_;
-  ++host_pages_rand_;
-  charge_map_journal();
-  host_program(page, data);
-  return IoStatus::kOk;
-}
-
-IoStatus SsdModel::write_multi(std::span<const PageWrite> batch,
-                               std::size_t* pages_done) {
-  for (const PageWrite& w : batch) {
-    KDD_CHECK(w.page < config_.logical_pages);
-    KDD_CHECK(w.data.size() == kPageSize);
-  }
-  if (failed_) {
-    if (pages_done) *pages_done = 0;
-    return IoStatus::kFailed;
-  }
-  if (!batch.empty()) {
-    ++host_write_ops_seq_;
-    host_pages_seq_ += batch.size();
-    charge_map_journal();
-    for (const PageWrite& w : batch) host_program(w.page, w.data);
-  }
-  if (pages_done) *pages_done = batch.size();
   return IoStatus::kOk;
 }
 
@@ -112,9 +75,6 @@ void SsdModel::replace() {
   active_block_ = kInvalid64;
   failed_ = false;
   host_page_writes_ = nand_page_writes_ = gc_page_copies_ = block_erases_ = 0;
-  host_write_ops_rand_ = host_write_ops_seq_ = 0;
-  host_pages_rand_ = host_pages_seq_ = 0;
-  journal_nand_pages_ = journal_bytes_accum_ = 0;
 }
 
 SsdWearStats SsdModel::wear() const {
@@ -123,11 +83,6 @@ SsdWearStats SsdModel::wear() const {
   w.nand_page_writes = nand_page_writes_;
   w.gc_page_copies = gc_page_copies_;
   w.block_erases = block_erases_;
-  w.host_write_ops_rand = host_write_ops_rand_;
-  w.host_write_ops_seq = host_write_ops_seq_;
-  w.host_pages_rand = host_pages_rand_;
-  w.host_pages_seq = host_pages_seq_;
-  w.journal_nand_pages = journal_nand_pages_;
   std::uint64_t total = 0;
   for (const auto& b : blocks_) {
     total += b.erase_count;

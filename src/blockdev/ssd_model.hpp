@@ -33,36 +33,15 @@ struct SsdConfig {
   /// occasionally victimises the coldest (least-erased) full block to move
   /// its static data off. 0 disables.
   std::uint32_t wear_level_spread = 0;
-  /// FTL mapping-journal overhead charged per host write *command* (not per
-  /// page): every command also persists this many bytes of L2P journal, folded
-  /// into nand_page_writes once a page's worth accumulates. This is the
-  /// mechanism behind the segment-staging wear credit — a 256-page vectored
-  /// write pays one journal update where 256 random writes pay 256. 0 (the
-  /// default) disables the model so WA baselines are unchanged.
-  std::uint32_t map_journal_bytes_per_op = 0;
 };
 
 struct SsdWearStats {
   std::uint64_t host_page_writes = 0;
-  std::uint64_t nand_page_writes = 0;  ///< host writes + GC copies (+ journal)
+  std::uint64_t nand_page_writes = 0;  ///< host writes + GC copies
   std::uint64_t gc_page_copies = 0;
   std::uint64_t block_erases = 0;
   double mean_erase_count = 0.0;
   std::uint32_t max_erase_count = 0;
-
-  // Host write-command accounting, split by access pattern: write() commands
-  // are random (one page each), write_multi() commands are sequential (the
-  // FTL programs the whole batch as one burst). Ops count commands, pages
-  // count 4 KiB pages; bytes are pages * kPageSize.
-  std::uint64_t host_write_ops_rand = 0;
-  std::uint64_t host_write_ops_seq = 0;
-  std::uint64_t host_pages_rand = 0;
-  std::uint64_t host_pages_seq = 0;
-  std::uint64_t journal_nand_pages = 0;  ///< mapping-journal share of nand writes
-
-  std::uint64_t host_write_ops() const { return host_write_ops_rand + host_write_ops_seq; }
-  std::uint64_t host_bytes_rand() const { return host_pages_rand * kPageSize; }
-  std::uint64_t host_bytes_seq() const { return host_pages_seq * kPageSize; }
 
   double write_amplification() const {
     return host_page_writes
@@ -77,11 +56,6 @@ class SsdModel final : public BlockDevice {
 
   IoStatus read(Lba page, std::span<std::uint8_t> out) override;
   IoStatus write(Lba page, std::span<const std::uint8_t> data) override;
-  /// Native vectored write: one host command programs the whole batch into
-  /// the active block stream back-to-back (physically sequential), paying at
-  /// most one mapping-journal update for the entire command.
-  IoStatus write_multi(std::span<const PageWrite> batch,
-                       std::size_t* pages_done = nullptr) override;
   std::uint64_t num_pages() const override { return config_.logical_pages; }
   void trim(Lba page) override;
 
@@ -126,10 +100,6 @@ class SsdModel final : public BlockDevice {
   void relocate_block(std::uint64_t victim);
   void invalidate_physical(std::uint64_t phys);
   void program(std::uint64_t phys, std::span<const std::uint8_t> data, bool is_gc_copy);
-  /// Moves one logical page into the active stream (shared by write paths).
-  void host_program(Lba page, std::span<const std::uint8_t> data);
-  /// Charges one host command's worth of mapping-journal bytes.
-  void charge_map_journal();
 
   SsdConfig config_;
   std::uint64_t num_blocks_;
@@ -146,13 +116,6 @@ class SsdModel final : public BlockDevice {
   std::uint64_t gc_page_copies_ = 0;
   std::uint64_t block_erases_ = 0;
   std::uint64_t program_seq_ = 0;  ///< global program counter (GC age proxy)
-
-  std::uint64_t host_write_ops_rand_ = 0;
-  std::uint64_t host_write_ops_seq_ = 0;
-  std::uint64_t host_pages_rand_ = 0;
-  std::uint64_t host_pages_seq_ = 0;
-  std::uint64_t journal_nand_pages_ = 0;
-  std::uint64_t journal_bytes_accum_ = 0;
 };
 
 }  // namespace kdd

@@ -40,9 +40,7 @@ SimTime HddTimingModel::service_time(IoKind kind, Lba page, std::uint32_t pages,
 }
 
 SimTime SsdTimingModel::service_time(IoKind kind, Rng& rng) const {
-  const SimTime base = kind == IoKind::kRead      ? config_.read_us
-                       : kind == IoKind::kWriteSeq ? config_.seq_program_us
-                                                   : config_.program_us;
+  const SimTime base = kind == IoKind::kRead ? config_.read_us : config_.program_us;
   const SimTime jitter = config_.jitter_us ? rng.next_below(config_.jitter_us) : 0;
   return base + jitter;
 }

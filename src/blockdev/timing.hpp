@@ -12,10 +12,7 @@
 
 namespace kdd {
 
-/// kWrite models a random single-page program; kWriteSeq a page inside a
-/// large sequential burst (segment flush), where the device streams pages
-/// across planes without per-command setup — cheaper per page.
-enum class IoKind { kRead, kWrite, kWriteSeq };
+enum class IoKind { kRead, kWrite };
 
 /// 7,200 RPM disk: seek (distance-dependent), rotational latency
 /// (uniform in one revolution; sequential hits skip both), transfer.
@@ -49,10 +46,6 @@ class HddTimingModel {
 struct SsdTimingConfig {
   SimTime read_us = 90;
   SimTime program_us = 250;
-  /// Per-page cost inside a sequential burst (kWriteSeq): the controller
-  /// pipelines data transfer with programming, so each page costs well under
-  /// a standalone random program.
-  SimTime seq_program_us = 70;
   SimTime jitter_us = 15;
   std::uint32_t channels = 8;
 };

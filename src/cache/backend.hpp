@@ -22,7 +22,6 @@
 #include "blockdev/retry.hpp"
 #include "blockdev/ssd_model.hpp"
 #include "cache/cache_stats.hpp"
-#include "cache/segment.hpp"
 #include "raid/io_plan.hpp"
 #include "raid/raid_array.hpp"
 
@@ -79,45 +78,14 @@ class CacheSsd {
   /// Mirrors counters into `stats` (the policy owns aggregated stats).
   void export_stats(CacheStats& stats) const;
 
-  // ---- Log-structured segment staging ---------------------------------------
-
-  /// Enables segment staging: committed data/metadata page writes accumulate
-  /// in a SegmentStager and reach the device as ONE vectored sequential write
-  /// per sealed segment (header + payload, header first). `nv_segment_seq`
-  /// is the NVRAM-resident open-segment id that anchors crash recovery (may
-  /// be null in counter mode). Staging starts *inactive* so recovery I/O
-  /// bypasses it; call activate_segment_staging() once the cache state is
-  /// consistent.
-  void enable_segment_staging(const SegmentConfig& config,
-                              std::uint64_t* nv_segment_seq);
-  void activate_segment_staging();
-  bool segment_staging_active() const { return staging_live_; }
-  SegmentStager* stager() { return stager_.get(); }
-  const SegmentStats& segment_stats() const { return seg_stats_; }
-
-  /// Host write commands issued to the SSD (direct page writes count one
-  /// each; a sealed segment counts one for the whole batch). With
-  /// pages_committed() this yields the SSD-writes-per-committed-page gauge.
-  std::uint64_t write_ops() const { return write_ops_; }
-  std::uint64_t pages_committed() const { return pages_committed_; }
-
-  /// Seals and flushes the open segment. Barrier call sites: flush, online
-  /// disk failure, rebuild stripe windows, failover. No-op when staging is
-  /// off or empty.
-  IoStatus force_seal(IoPlan* plan);
-
-  /// Crash recovery for the in-flight segment (prototype mode; call BEFORE
-  /// metadata-log replay). Accepts the open segment when its header and
-  /// whole-segment payload CRC prove it fully persisted; otherwise marks
-  /// exactly the pages its header lists as unreadable so the normal recovery
-  /// audit retires or heals them, and tombstones the header slot.
-  void recover_staging();
+  /// Host write commands issued to the SSD, and pages committed by them.
+  /// Every committed page is one command, so both equal total_writes().
+  std::uint64_t write_ops() const { return total_writes(); }
+  std::uint64_t pages_committed() const { return total_writes(); }
 
  private:
   IoStatus do_read(Lba ssd_lba, std::span<std::uint8_t> out, IoPlan* plan);
   IoStatus do_write(Lba ssd_lba, std::span<const std::uint8_t> data, IoPlan* plan);
-  IoStatus seal_segment(IoPlan* plan, bool forced);
-  void update_segment_gauges() const;
 
   std::uint64_t metadata_pages_;
   std::uint64_t cache_pages_;
@@ -127,13 +95,6 @@ class CacheSsd {
   std::uint64_t reads_ = 0;
   std::uint64_t writes_by_kind_[kNumSsdWriteKinds] = {};
   Page scratch_;  ///< zero page used when counter-mode callers pass no data
-
-  std::unique_ptr<SegmentStager> stager_;  ///< null until staging enabled
-  SegmentStats seg_stats_;
-  std::uint64_t* nv_segment_seq_ = nullptr;  ///< NVRAM open-segment id
-  bool staging_live_ = false;  ///< writes intercepted (post-recovery)
-  std::uint64_t write_ops_ = 0;
-  std::uint64_t pages_committed_ = 0;
 };
 
 /// The primary storage. In counter mode it tracks stale parity groups and

@@ -82,30 +82,38 @@ void MetadataLog::add_entry(const MetadataEntry& entry, IoPlan* plan) {
 }
 
 void MetadataLog::commit_buffer(IoPlan* plan) {
-  if (nvram_->metadata.empty()) return;
-  std::vector<MetadataEntry> entries = nvram_->metadata.drain();
-  std::size_t pos = 0;
-  while (pos < entries.size()) {
-    const std::size_t n = std::min(kEntriesPerPage, entries.size() - pos);
-    commit_entries({entries.begin() + static_cast<std::ptrdiff_t>(pos),
-                    entries.begin() + static_cast<std::ptrdiff_t>(pos + n)},
-                   plan);
-    pos += n;
+  // Commits what is buffered now, one page at a time; entries that GC
+  // re-buffers meanwhile wait for the next commit.
+  std::size_t pending = nvram_->metadata.size();
+  while (pending > 0 && !nvram_->metadata.empty()) {
+    const std::size_t n =
+        std::min({kEntriesPerPage, pending, nvram_->metadata.size()});
+    if (commit_page(n, plan) != IoStatus::kOk) return;
+    pending -= n;
   }
 }
 
-void MetadataLog::commit_entries(std::vector<MetadataEntry> entries, IoPlan* plan) {
+IoStatus MetadataLog::commit_page(std::size_t n, IoPlan* plan) {
   const obs::SpanScope span(obs::Stage::kMetadataLog);
-  KDD_CHECK(!entries.empty());
+  KDD_CHECK(n > 0);
   KDD_CHECK(used_pages() < partition_pages());  // circular-log hard invariant
   const std::uint64_t seq = nvram_->log_tail;
+  IoStatus st = IoStatus::kOk;
   if (ssd_->real()) {
     Page page = make_page();
-    serialize_page(entries, seq, page);
-    ssd_->write_metadata(seq % partition_pages(), page, plan);
+    serialize_page({nvram_->metadata.entries().data(), n}, seq, page);
+    st = ssd_->write_metadata(seq % partition_pages(), page, plan);
   } else {
-    ssd_->write_metadata(seq % partition_pages(), {}, plan);
+    st = ssd_->write_metadata(seq % partition_pages(), {}, plan);
   }
+  if (st != IoStatus::kOk) {
+    // The page never reached the media (or only a torn prefix did): replay
+    // stops before this slot, so its entries must stay in NVRAM.
+    KDD_LOG(Warn, "metadata log: page seq=%llu not written (%s), %zu entries kept",
+            static_cast<unsigned long long>(seq), to_string(st), n);
+    return st;
+  }
+  std::vector<MetadataEntry> entries = nvram_->metadata.take_front(n);
   ++pages_written_;
   for (const MetadataEntry& e : entries) {
     sets_->slot(e.daz_idx).home_log_page = seq;
@@ -123,6 +131,7 @@ void MetadataLog::commit_entries(std::vector<MetadataEntry> entries, IoPlan* pla
     }
     in_gc_ = false;
   }
+  return IoStatus::kOk;
 }
 
 void MetadataLog::collect_one_page(IoPlan* plan) {
@@ -157,7 +166,7 @@ void MetadataLog::collect_one_page(IoPlan* plan) {
   }
 }
 
-void MetadataLog::serialize_page(const std::vector<MetadataEntry>& entries,
+void MetadataLog::serialize_page(std::span<const MetadataEntry> entries,
                                  std::uint64_t seq, Page& out) const {
   KDD_CHECK(entries.size() <= kEntriesPerPage);
   put_u16(out.data(), static_cast<std::uint16_t>(entries.size()));

@@ -30,6 +30,8 @@ class MetadataLog {
   void add_entry(const MetadataEntry& entry, IoPlan* plan);
 
   /// Forces the (possibly partial) buffer out to the log (shutdown/flush).
+  /// Entries leave NVRAM only once their page is on the media: a failed page
+  /// write keeps them (and every later entry) buffered and the tail in place.
   void commit_buffer(IoPlan* plan);
 
   std::uint64_t used_pages() const { return nvram_->log_tail - nvram_->log_head; }
@@ -62,9 +64,11 @@ class MetadataLog {
       (kPageSize - kPageHeaderSize) / MetadataEntry::kSerializedSize;
 
  private:
-  void commit_entries(std::vector<MetadataEntry> entries, IoPlan* plan);
+  /// Writes the `n` oldest buffered entries as the tail page and, once the
+  /// write succeeds, releases them from NVRAM and advances the tail.
+  IoStatus commit_page(std::size_t n, IoPlan* plan);
   void collect_one_page(IoPlan* plan);
-  void serialize_page(const std::vector<MetadataEntry>& entries, std::uint64_t seq,
+  void serialize_page(std::span<const MetadataEntry> entries, std::uint64_t seq,
                       Page& out) const;
   /// Returns false when the whole page is unusable (header corrupt or
   /// sequence mismatch). Otherwise appends the valid prefix of entries to

@@ -139,6 +139,18 @@ class MetadataBuffer {
     return out;
   }
 
+  /// Removes and returns the `n` oldest entries (a log page that reached
+  /// the media); the rest keep their order.
+  std::vector<MetadataEntry> take_front(std::size_t n) {
+    KDD_CHECK(n <= entries_.size());
+    const auto cut = entries_.begin() + static_cast<std::ptrdiff_t>(n);
+    std::vector<MetadataEntry> out(entries_.begin(), cut);
+    entries_.erase(entries_.begin(), cut);
+    index_.clear();
+    for (std::size_t i = 0; i < entries_.size(); ++i) index_[entries_[i].daz_idx] = i;
+    return out;
+  }
+
   const std::vector<MetadataEntry>& entries() const { return entries_; }
 
  private:
@@ -164,12 +176,6 @@ struct NvramState {
   std::uint32_t rebuild_disk = 0;
   std::uint64_t rebuild_cursor = 0;
   bool rebuild_active = false;
-
-  // Segment staging (ISSUE 9): id of the currently-open segment. Bumped only
-  // after a seal completes on powered media, so after a crash it still names
-  // the segment whose flush may have been in flight — recovery reads that
-  // segment's header ring slot and accepts or discards it wholesale.
-  std::uint64_t segment_seq = 0;
 };
 
 }  // namespace kdd

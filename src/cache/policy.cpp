@@ -30,17 +30,9 @@ CacheLayoutPlan plan_cache_layout(const PolicyConfig& config, bool needs_metadat
     const std::uint64_t floor_pages = config.ssd_pages / 200 + 8;
     plan.metadata_pages = std::max<std::uint64_t>({by_fraction, floor_pages, 4});
   }
-  if (config.segment_staging && needs_metadata) {
-    // Header ring for the segment stager: >= 2 slots so the open segment's
-    // header never overwrites the last sealed one; 4 gives headroom for
-    // tombstoned slots after crash recovery.
-    plan.segment_ring_pages = 4;
-  }
-  KDD_CHECK(config.ssd_pages >
-            plan.metadata_pages + plan.segment_ring_pages + config.ways);
+  KDD_CHECK(config.ssd_pages > plan.metadata_pages + config.ways);
   plan.cache_pages =
-      (config.ssd_pages - plan.metadata_pages - plan.segment_ring_pages) /
-      config.ways * config.ways;
+      (config.ssd_pages - plan.metadata_pages) / config.ways * config.ways;
   return plan;
 }
 

@@ -36,12 +36,6 @@ struct PolicyConfig {
   /// LARC-style lazy admission (Section V-C lists it as complementary to
   /// KDD): admit a page only on its second miss within a ghost-LRU window.
   bool selective_admission = false;
-  /// Log-structured segment staging (KDD only): committed SSD page writes
-  /// accumulate in RAM and land as one sealed vectored sequential write per
-  /// segment (src/cache/segment.hpp). Off by default so baselines and the
-  /// legacy per-page write accounting are unchanged.
-  bool segment_staging = false;
-  std::uint32_t segment_pages = 64;  ///< payload pages per sealed segment
   double delta_ratio_mean = 0.25; ///< counter-mode content locality (Gaussian mean)
   std::uint64_t seed = 1;
 };
@@ -126,12 +120,9 @@ class BlockCacheBase : public CachePolicy {
 };
 
 /// Computes the cache-page/metadata-page split for a given total SSD size.
-/// With segment staging on, a small header ring is carved out after the cache
-/// region (ring base = metadata_pages + cache_pages).
 struct CacheLayoutPlan {
   std::uint64_t metadata_pages = 0;
   std::uint64_t cache_pages = 0;
-  std::uint64_t segment_ring_pages = 0;
 };
 CacheLayoutPlan plan_cache_layout(const PolicyConfig& config, bool needs_metadata);
 

@@ -2,7 +2,7 @@
 // in the paper is bottlenecked on: page XOR (parity + delta generation),
 // GF(2^8) multiply-accumulate (RAID-6 Q parity) and the zero-page predicate
 // (parity-skip checks). One portable kernel, page_hash (the emulated media's
-// per-page checksum and the segment CRCs), is plain C++ with no dispatch.
+// per-page checksum), is plain C++ with no dispatch.
 //
 // Each kernel has a portable scalar baseline plus SIMD tiers (SSE2/SSSE3 and
 // AVX2 on x86-64, NEON on aarch64) selected once at startup via CPU feature

@@ -22,11 +22,12 @@ TortureConfig::TortureConfig() {
   ssd.pages_per_block = 16;
   policy.ssd_pages = 256;
   policy.ways = 8;
-  // Segment staging is ON in torture so the uniform crash point also lands
-  // inside multi-page segment flushes (write_multi tears mid-vector); a small
-  // segment keeps seals frequent at this scale.
-  policy.segment_staging = true;
-  policy.segment_pages = 16;
+  // A 16-entry NVRAM metadata buffer commits a log page every 16 mapping
+  // changes, so the uniform crash point tears metadata-log pages as well as
+  // cache data pages. The larger partition keeps the circular log's floor
+  // (sized for 240-entry pages) satisfied with 16-entry pages.
+  policy.metadata_fraction = 0.1;
+  policy.metadata_buffer_entries = 16;
 }
 
 /// One seed's worth of stack. Everything but the KddCache survives a power
@@ -161,6 +162,12 @@ TortureReport TortureRunner::run_case(std::uint64_t seed, std::uint64_t cut_afte
   rep.cut_fired = !rig.rail->on();
   rep.write_miss_rcw = rig.kdd->write_miss_rcw();
   rep.cache_faults = rig.cache_faults()->fault_counters();
+  if (rep.cache_faults.torn_writes > 0) {
+    rep.torn_region = rig.cache_faults()->last_torn_page() <
+                              rig.kdd->cache_ssd().metadata_pages()
+                          ? TornRegion::kMetadataLog
+                          : TornRegion::kCacheData;
+  }
   rep.domain_power_cut_rejects = rep.cache_faults.power_cut_rejects;
   for (std::uint32_t d = 0; d < config_.geo.num_disks; ++d) {
     rep.domain_power_cut_rejects +=
@@ -174,16 +181,6 @@ TortureReport TortureRunner::run_case(std::uint64_t seed, std::uint64_t cut_afte
   rig.kdd = std::make_unique<KddCache>(config_.policy, &rig.array, &rig.ssd,
                                        &rig.nvram, /*recover=*/true);
   rig.cache_faults()->attach_rail(rig.rail);
-
-  // Segment-staging recovery accounting. At most ONE segment can be in
-  // flight at a cut, so anything else means the epoch bookkeeping is broken.
-  const SegmentStats& ss = rig.kdd->cache_ssd().segment_stats();
-  rep.segments_recovered = ss.recovered_segments;
-  rep.segments_discarded = ss.discarded_segments;
-  rep.segment_pages_discarded = ss.discarded_pages;
-  if (ss.recovered_segments + ss.discarded_segments > 1) {
-    rep.violations.push_back("recovery touched more than the one in-flight segment");
-  }
 
   verify_against_model(rig, &rep);
 
@@ -337,8 +334,8 @@ TortureReport TortureRunner::run_seed(std::uint64_t seed) {
     }
   }
   // Uniform crash point over every media write of the run: DAZ admissions,
-  // delta commits, metadata appends and segment seals are all hit in
-  // proportion to their frequency.
+  // delta commits and metadata appends are all hit in proportion to their
+  // frequency.
   Rng cut_rng(seed ^ 0xc3a5c85c97cb3127ull);
   TortureReport rep = run_case(seed, cut_rng.next_below(total_writes));
   rep.total_media_writes = total_writes;

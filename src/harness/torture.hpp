@@ -9,8 +9,8 @@
 // executed without faults to count the cache device's media writes W, then
 // the real run arms the power-cut trigger at cut ~ U[0, W). This guarantees
 // coverage of every write class — DAZ admissions, DEZ delta commits, metadata
-// log appends, segment seals — in proportion to how often they occur, with no
-// hand-picked crash points.
+// log appends — in proportion to how often they occur, with no hand-picked
+// crash points.
 //
 // Integrity contract checked per seed (violations are collected, not
 // asserted, so callers can aggregate across hundreds of seeds):
@@ -57,6 +57,9 @@ struct TortureConfig {
   TortureConfig();
 };
 
+/// Region of the cache SSD that the power cut tore.
+enum class TornRegion : std::uint8_t { kNone, kMetadataLog, kCacheData };
+
 struct TortureReport {
   std::uint64_t seed = 0;
   std::uint64_t total_media_writes = 0;  ///< cache-SSD writes in the dry run
@@ -78,10 +81,7 @@ struct TortureReport {
   /// (cache SSD + every RAID disk): proves the cut landed mid-workload.
   std::uint64_t domain_power_cut_rejects = 0;
 
-  // ---- segment staging (the cut can land mid-segment-flush) ---------------
-  std::uint64_t segments_recovered = 0;  ///< in-flight segment proved complete
-  std::uint64_t segments_discarded = 0;  ///< unsealed segment invalidated
-  std::uint64_t segment_pages_discarded = 0;  ///< exactly its header's page list
+  TornRegion torn_region = TornRegion::kNone;  ///< what the torn write hit
 
   // ---- run_rebuild_case only (power cut during an online rebuild) ---------
   std::uint64_t rebuild_cursor_at_cut = 0;     ///< NVRAM checkpoint at the tear

@@ -134,11 +134,8 @@ ConcurrentCache::FrontStats ConcurrentCache::front_stats() const {
 bool ConcurrentCache::handle_disk_failure_online(std::uint32_t disk) {
   auto* kdd = dynamic_cast<KddCache*>(policy_);
   KDD_CHECK(kdd != nullptr);
+  // Every request runs under mu_, so none is half-executed here.
   const std::lock_guard<std::mutex> lock(mu_);
-  // Every request runs under mu_, so none is half-executed here. Seal the
-  // open staging segment so the rebuild engine's stripe windows start from
-  // an SSD that holds every committed page.
-  kdd->force_seal(nullptr);
   return kdd->handle_disk_failure_online(disk);
 }
 

@@ -86,11 +86,11 @@ class ConcurrentCache {
   /// Drains all deferred state (blocking): the policy's own flush.
   void flush();
 
-  /// Online disk-failure handler: under the policy mutex, seals the open
-  /// staging segment and hands the failure to the policy's rebuild engine,
-  /// whose stripe barrier then sees a settled dirty-group map. Requires a
-  /// KddCache policy with a bound RebuildEngine. Returns what the engine's
-  /// on_disk_failure returned (false: no spare, array stays degraded).
+  /// Online disk-failure handler: under the policy mutex, hands the failure
+  /// to the policy's rebuild engine, whose stripe barrier then sees a
+  /// settled dirty-group map. Requires a KddCache policy with a bound
+  /// RebuildEngine. Returns what the engine's on_disk_failure returned
+  /// (false: no spare, array stays degraded).
   bool handle_disk_failure_online(std::uint32_t disk);
 
   /// Exact policy stats (takes the policy mutex; waits for in-flight

@@ -77,10 +77,6 @@ KddCache::KddCache(const PolicyConfig& config, const RaidGeometry& geo,
   }
   dez_space_.reset(sets_.pages());
   refresh_dez_gauges();
-  if (config.segment_staging) {
-    setup_segment_staging();
-    ssd_.activate_segment_staging();  // counter mode: nothing to recover
-  }
 }
 
 KddCache::KddCache(const PolicyConfig& config, RaidArray* array, SsdModel* ssd,
@@ -98,12 +94,7 @@ KddCache::KddCache(const PolicyConfig& config, RaidArray* array, SsdModel* ssd,
     ghost_ = std::make_unique<GhostLru>(sets_.pages());
   }
   dez_space_.reset(sets_.pages());
-  // Staging is enabled (so recover() can replay the in-flight segment) but
-  // only activated once the cache state is consistent: recovery's own reads
-  // and healing writes must hit the device directly.
-  if (config.segment_staging) setup_segment_staging();
   if (do_recover) recover();
-  if (config.segment_staging) ssd_.activate_segment_staging();
   refresh_dez_gauges();
 }
 
@@ -114,15 +105,6 @@ KddCache::~KddCache() {
     rebuild_->set_stripe_barrier(nullptr);
     rebuild_->set_checkpoint_sink(nullptr);
   }
-}
-
-void KddCache::setup_segment_staging() {
-  const CacheLayoutPlan plan = kdd_layout(config_);
-  SegmentConfig sc;
-  sc.segment_pages = config_.segment_pages;
-  sc.ring_pages = plan.segment_ring_pages;
-  sc.ring_base = plan.metadata_pages + plan.cache_pages;
-  ssd_.enable_segment_staging(sc, &nvram_->segment_seq);
 }
 
 void KddCache::bind_rebuild_engine(RebuildEngine* engine) {
@@ -154,9 +136,6 @@ bool KddCache::destage_range(GroupId begin, GroupId end, IoPlan* plan) {
     return true;
   });
   destage_groups(in_range, plan);
-  // Stripe barrier contract: the rebuild engine is about to trust the SSD
-  // contents for this window, so nothing may linger in the RAM segment.
-  ssd_.force_seal(plan);
   return std::none_of(in_range.begin(), in_range.end(),
                       [&](GroupId g) { return dirty_groups_.contains(g); });
 }
@@ -1295,8 +1274,6 @@ void KddCache::flush(IoPlan* plan) {
   clean_all(plan);
   KDD_CHECK(nvram_->staging.empty());
   log_.commit_buffer(plan);
-  // Flush barrier: every committed page must be on the SSD, not in RAM.
-  ssd_.force_seal(plan);
 }
 
 void KddCache::on_idle(IoPlan* plan) {
@@ -1304,9 +1281,6 @@ void KddCache::on_idle(IoPlan* plan) {
   // instead of recording every pass wholesale.
   const obs::TraceContextScope trace(obs::Stage::kClean);
   clean_all(plan);
-  // An idle device is the cheapest time to drain a partial segment, and it
-  // bounds how long a committed page can sit in RAM.
-  ssd_.force_seal(plan);
   // A quiet array is the cheapest time to make rebuild progress: one full
   // unthrottled chunk per idle event.
   if (rebuild_ && rebuild_->health() != ArrayHealth::kHealthy) {
@@ -1328,7 +1302,6 @@ std::uint64_t KddCache::handle_disk_failure(std::uint32_t disk) {
   // First bring every stale parity up to date through the parity_update
   // interface, then rebuild at the RAID layer.
   clean_all(nullptr);
-  ssd_.force_seal(nullptr);
   return raid_.array()->rebuild_disk(disk);
 }
 
@@ -1453,11 +1426,6 @@ void KddCache::recover() {
   // trace regardless of the sampling period.
   const obs::TraceContextScope trace(obs::Stage::kRecovery, /*always_sample=*/true);
   kdd_metrics().recoveries.inc();
-  // 0. Segment staging: accept or discard the segment whose flush may have
-  //    been in flight at the cut. Must run before the log replay and the
-  //    torn-page audit — a discarded segment marks exactly its listed pages
-  //    unreadable, which the steps below then skip, retire or heal.
-  ssd_.recover_staging();
   // 1. Head/tail counters come from NVRAM (already in nvram_). Rebuild the
   //    log's in-memory page lists and replay the committed entries.
   log_.rebuild_after_recovery();
@@ -1501,17 +1469,18 @@ void KddCache::recover() {
     ++c.live_count;
   }
   // Mixed-generation audit. A mapping's supersede (a destage record) can ride
-  // a metadata-log page that died with the torn segment after the NVRAM
-  // buffer evicted it, while mappings minted later survive in NVRAM — so the
-  // replay can resurrect a stale mapping generation alongside a durable newer
-  // one for the same DEZ page. That surfaces as a census that is
-  // self-inconsistent: summed live bytes exceeding the max end offset, or an
-  // end offset past the page. None of the extent's mappings can be told
-  // apart by generation, and the RAID copy of every mapped page is current
-  // (write_page_nopar lands before any delta is staged), so drop every
-  // mapping into the extent. A dropped page's delta never reaches parity, so
-  // its group must not be destaged from the deltas that remain: step 4 heals
-  // each such group that is still dirty, and step 6 resyncs the rest.
+  // a committed metadata-log page that replay cannot read (a latent sector
+  // error or bit rot on the metadata partition), while mappings minted later
+  // survive in newer pages or in NVRAM — so the replay can resurrect a stale
+  // mapping generation alongside a durable newer one for the same DEZ page.
+  // That surfaces as a census that is self-inconsistent: summed live bytes
+  // exceeding the max end offset, or an end offset past the page. None of
+  // the extent's mappings can be told apart by generation, and the RAID copy
+  // of every mapped page is current (write_page_nopar lands before any delta
+  // is staged), so drop every mapping into the extent. A dropped page's delta
+  // never reaches parity, so its group must not be destaged from the deltas
+  // that remain: step 4 heals each such group that is still dirty, and step
+  // 6 resyncs the rest.
   std::unordered_set<std::uint32_t> mixed;
   for (const auto& [dez_idx, c] : census) {
     if (c.tail > kPageSize || c.live_bytes > c.tail) mixed.insert(dez_idx);

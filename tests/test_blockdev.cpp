@@ -5,13 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <initializer_list>
 #include <memory>
-#include <string>
-#include <vector>
 
-#include "blockdev/fault_device.hpp"
-#include "blockdev/file_device.hpp"
 #include "blockdev/mem_device.hpp"
 #include "blockdev/ssd_model.hpp"
 #include "blockdev/timing.hpp"
@@ -267,162 +262,6 @@ TEST(SsdModel, FlashIsCommittedOnFirstWrite) {
     cfg.logical_pages = kBigDevicePages;
     return std::make_unique<SsdModel>(cfg);
   });
-}
-
-// ---- write_multi: vectored writes must be byte-equivalent to N single
-// writes on every device, and fail with exact prefix persistence ------------
-
-/// Scattered LBAs + distinct contents for a vectored batch. The batch owns
-/// its payload pages; views() hands out the span-based descriptor list.
-struct Batch {
-  std::vector<Lba> lbas;
-  std::vector<Page> pages;
-
-  Batch(std::initializer_list<Lba> addrs, std::uint64_t salt) {
-    for (const Lba lba : addrs) {
-      lbas.push_back(lba);
-      pages.push_back(test_page(lba, salt));
-    }
-  }
-  std::vector<PageWrite> views() const {
-    std::vector<PageWrite> v;
-    for (std::size_t i = 0; i < lbas.size(); ++i) {
-      v.push_back({lbas[i], pages[i]});
-    }
-    return v;
-  }
-};
-
-void expect_batch_readable(BlockDevice& dev, const Batch& batch) {
-  Page out = make_page();
-  for (std::size_t i = 0; i < batch.lbas.size(); ++i) {
-    ASSERT_EQ(dev.read(batch.lbas[i], out), IoStatus::kOk) << "lba " << batch.lbas[i];
-    EXPECT_EQ(out, batch.pages[i]) << "lba " << batch.lbas[i];
-  }
-}
-
-TEST(WriteMulti, MemDeviceMatchesSingleWrites) {
-  const Batch batch({3, 11, 7, 0, 15}, 42);
-  MemBlockDevice vectored(16);
-  MemBlockDevice singles(16);
-  std::size_t done = 0;
-  ASSERT_EQ(vectored.write_multi(batch.views(), &done), IoStatus::kOk);
-  EXPECT_EQ(done, batch.lbas.size());
-  for (std::size_t i = 0; i < batch.lbas.size(); ++i) {
-    ASSERT_EQ(singles.write(batch.lbas[i], batch.pages[i]), IoStatus::kOk);
-  }
-  expect_batch_readable(vectored, batch);
-  Page a = make_page();
-  Page b = make_page();
-  for (Lba lba = 0; lba < 16; ++lba) {
-    ASSERT_EQ(vectored.read(lba, a), IoStatus::kOk);
-    ASSERT_EQ(singles.read(lba, b), IoStatus::kOk);
-    EXPECT_EQ(a, b) << "lba " << lba;
-  }
-}
-
-TEST(WriteMulti, FileDeviceCoalescedWritePersistsAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "kdd_write_multi.img";
-  // Mixed batch: a contiguous run (coalesced into one pwritev) plus strays.
-  const Batch batch({4, 5, 6, 12, 2}, 7);
-  {
-    FileBlockDevice dev(path, 32);
-    std::size_t done = 0;
-    ASSERT_EQ(dev.write_multi(batch.views(), &done), IoStatus::kOk);
-    EXPECT_EQ(done, batch.lbas.size());
-    expect_batch_readable(dev, batch);
-  }
-  FileBlockDevice reopened(path, 32);
-  expect_batch_readable(reopened, batch);
-}
-
-TEST(WriteMulti, SsdModelOneSequentialCommandVsNRandom) {
-  const Batch batch({9, 1, 30, 17, 25, 5}, 11);
-  SsdModel vectored(small_ssd());
-  SsdModel singles(small_ssd());
-  std::size_t done = 0;
-  ASSERT_EQ(vectored.write_multi(batch.views(), &done), IoStatus::kOk);
-  EXPECT_EQ(done, batch.lbas.size());
-  for (std::size_t i = 0; i < batch.lbas.size(); ++i) {
-    ASSERT_EQ(singles.write(batch.lbas[i], batch.pages[i]), IoStatus::kOk);
-  }
-  // Same bytes on media either way...
-  expect_batch_readable(vectored, batch);
-  expect_batch_readable(singles, batch);
-  // ...but the vectored path is ONE host command programming a sequential
-  // burst, while N singles are N random commands.
-  EXPECT_EQ(vectored.wear().host_write_ops_seq, 1u);
-  EXPECT_EQ(vectored.wear().host_pages_seq, batch.lbas.size());
-  EXPECT_EQ(vectored.wear().host_write_ops_rand, 0u);
-  EXPECT_EQ(singles.wear().host_write_ops_rand, batch.lbas.size());
-  EXPECT_EQ(singles.wear().host_write_ops_seq, 0u);
-  EXPECT_EQ(vectored.wear().host_page_writes, singles.wear().host_page_writes);
-}
-
-TEST(WriteMulti, FaultDevicePassThroughPreservesSeqAccounting) {
-  SsdModel inner(small_ssd());
-  FaultInjectingDevice dev(&inner);
-  const Batch batch({2, 3, 4, 20}, 13);
-  std::size_t done = 0;
-  ASSERT_EQ(dev.write_multi(batch.views(), &done), IoStatus::kOk);
-  EXPECT_EQ(done, batch.lbas.size());
-  expect_batch_readable(dev, batch);
-  // The decorator's per-page bookkeeping must not degrade the inner device's
-  // vectored command into N random singles.
-  EXPECT_EQ(inner.wear().host_write_ops_seq, 1u);
-  EXPECT_EQ(inner.wear().host_write_ops_rand, 0u);
-  EXPECT_EQ(dev.media_writes(), batch.lbas.size());
-}
-
-TEST(WriteMulti, MidVectorPowerCutPersistsExactPrefix) {
-  MemBlockDevice inner(32);
-  FaultInjectingDevice dev(&inner);
-  const Batch old_batch({1, 2, 3, 4, 5, 6}, 100);
-  ASSERT_EQ(dev.write_multi(old_batch.views(), nullptr), IoStatus::kOk);
-
-  // Tear the 4th entry (index 3) of the new batch: 3 old-batch writes already
-  // happened above... so arm relative to the writes still to come.
-  const Batch new_batch({1, 2, 3, 4, 5, 6}, 200);
-  constexpr std::size_t kTornIndex = 3;
-  dev.arm_power_cut(kTornIndex);
-  std::size_t done = ~0ull;
-  const IoStatus st = dev.write_multi(new_batch.views(), &done);
-  EXPECT_NE(st, IoStatus::kOk);
-  EXPECT_EQ(done, kTornIndex);  // exactly the pre-tear prefix was acked
-  EXPECT_EQ(dev.fault_counters().torn_writes, 1u);
-  EXPECT_FALSE(dev.powered());
-
-  // While the rail is down every op is rejected.
-  Page buf = make_page();
-  EXPECT_EQ(dev.read(1, buf), IoStatus::kFailed);
-  EXPECT_GT(dev.fault_counters().power_cut_rejects, 0u);
-  dev.power_restore();
-
-  for (std::size_t i = 0; i < new_batch.lbas.size(); ++i) {
-    ASSERT_EQ(dev.read(new_batch.lbas[i], buf), IoStatus::kOk);
-    if (i < kTornIndex) {
-      // Prefix entries are fully durable.
-      EXPECT_EQ(buf, new_batch.pages[i]) << "entry " << i;
-    } else if (i == kTornIndex) {
-      // The torn page is a sector-prefix blend: some first s sectors (s < 8)
-      // of the new data, the rest still old — never fully the new page.
-      EXPECT_NE(buf, new_batch.pages[i]);
-      bool valid_blend = false;
-      const auto kSectors = static_cast<std::ptrdiff_t>(kPageSize / 512);
-      for (std::ptrdiff_t sectors = 0; sectors < kSectors; ++sectors) {
-        const std::ptrdiff_t cut = sectors * 512;
-        if (std::equal(buf.begin(), buf.begin() + cut, new_batch.pages[i].begin()) &&
-            std::equal(buf.begin() + cut, buf.end(), old_batch.pages[i].begin() + cut)) {
-          valid_blend = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(valid_blend) << "torn page is not a sector-prefix blend";
-    } else {
-      // Entries after the tear never touched the media.
-      EXPECT_EQ(buf, old_batch.pages[i]) << "entry " << i;
-    }
-  }
 }
 
 TEST(HddTiming, SequentialFasterThanRandom) {

@@ -559,11 +559,12 @@ TEST(KddReal, ReclaimAsCleanKeepsPagesCached) {
 // ---------------------------------------------------------------------------
 
 struct CrashRig {
-  CrashRig()
+  explicit CrashRig(const PolicyConfig& config = small_config(),
+                    std::size_t metadata_entries = 255)
       : array(small_geo()),
         ssd(small_ssd()),
-        nvram(kPageSize, 255),
-        kdd(std::make_unique<KddCache>(small_config(), &array, &ssd, &nvram)) {}
+        nvram(kPageSize, metadata_entries),
+        kdd(std::make_unique<KddCache>(config, &array, &ssd, &nvram)) {}
 
   void run_workload(int iters, double locality, std::uint64_t seed) {
     const ContentGenerator gen(21);
@@ -627,6 +628,38 @@ TEST(KddFailure, PowerFailureThenMoreWritesStaysConsistent) {
   rig.run_workload(1500, 0.25, 33);
   rig.kdd->flush(nullptr);
   EXPECT_TRUE(rig.array.scrub().empty());
+  rig.verify_reads();
+}
+
+TEST(KddFailure, FailedMetadataLogWriteKeepsItsEntriesInNvram) {
+  // A metadata-log page write that does not reach the media must leave its
+  // entries in NVRAM and the log tail in place. Otherwise replay skips the
+  // page and recovery resurrects the older mappings it superseded, for
+  // groups whose parity the destage has already brought up to date.
+  PolicyConfig cfg = small_config();
+  cfg.metadata_fraction = 0.1;  // room for 16-entry log pages
+  cfg.metadata_buffer_entries = 16;
+  CrashRig rig(cfg, cfg.metadata_buffer_entries);
+  rig.run_workload(600, 0.25, 41);
+  ASSERT_GT(rig.kdd->stale_groups(), 0u);
+  const std::uint64_t tail = rig.nvram.log_tail;
+
+  // The cache SSD loses power, the array does not: the flush destages every
+  // dirty group, and none of the log pages recording that lands.
+  FaultInjectingDevice* faults = rig.kdd->cache_ssd().faults();
+  faults->rail()->cut();
+  rig.kdd->flush(nullptr);
+  EXPECT_EQ(rig.nvram.log_tail, tail);
+  EXPECT_FALSE(rig.nvram.metadata.empty());
+
+  faults->power_restore();
+  rig.kdd = std::make_unique<KddCache>(cfg, &rig.array, &rig.ssd, &rig.nvram,
+                                       /*recover=*/true);
+  rig.kdd->check_invariants();
+  rig.verify_reads();
+  rig.kdd->flush(nullptr);
+  EXPECT_TRUE(rig.array.scrub().empty());
+  rig.kdd->check_invariants();
   rig.verify_reads();
 }
 

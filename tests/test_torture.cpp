@@ -29,9 +29,8 @@ TEST(Torture, TwoHundredRandomCrashPointsZeroViolations) {
   std::uint64_t torn_writes = 0;
   std::uint64_t rejected_ops = 0;
   std::size_t pages_verified = 0;
-  std::uint64_t seg_recovered = 0;
-  std::uint64_t seg_discarded = 0;
-  std::uint64_t seg_pages_discarded = 0;
+  int torn_log_pages = 0;
+  int torn_data_pages = 0;
   std::uint64_t write_miss_rcw = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const TortureReport rep = runner.run_seed(seed);
@@ -41,9 +40,8 @@ TEST(Torture, TwoHundredRandomCrashPointsZeroViolations) {
     torn_writes += rep.cache_faults.torn_writes;
     rejected_ops += rep.domain_power_cut_rejects;
     pages_verified += rep.pages_verified;
-    seg_recovered += rep.segments_recovered;
-    seg_discarded += rep.segments_discarded;
-    seg_pages_discarded += rep.segment_pages_discarded;
+    torn_log_pages += rep.torn_region == TornRegion::kMetadataLog ? 1 : 0;
+    torn_data_pages += rep.torn_region == TornRegion::kCacheData ? 1 : 0;
     write_miss_rcw += rep.write_miss_rcw;
   }
   // Every seed must actually have crashed (the cut index is < the dry-run
@@ -54,14 +52,11 @@ TEST(Torture, TwoHundredRandomCrashPointsZeroViolations) {
   // lands mid-workload rather than after it.
   EXPECT_GT(rejected_ops, 0u);
   EXPECT_GT(pages_verified, 0u);
-  // With segment staging on (the torture config enables it), most cache
-  // media writes happen inside a vectored segment flush, so a uniform crash
-  // point must land mid-flush for many seeds: the CRC check must have
-  // invalidated torn segments — and discarded at least one page each —
-  // rather than every cut conveniently missing the segment path.
-  EXPECT_GT(seg_discarded, 0u);
-  EXPECT_GE(seg_pages_discarded, seg_discarded);
-  EXPECT_GT(seg_recovered + seg_discarded, 0u);
+  // The torture config's small metadata buffer makes log appends frequent
+  // enough that the uniform crash point tears metadata-log pages (the
+  // per-entry CRC-8 torn-tail path) as well as cache data pages.
+  EXPECT_GT(torn_log_pages, 0);
+  EXPECT_GT(torn_data_pages, 0);
   // The cuts must also be able to land inside a write miss that
   // reconstruct-writes from cached row-mates.
   EXPECT_GT(write_miss_rcw, 0u);
