@@ -36,7 +36,7 @@ int main() {
     scfg.logical_pages = ssd_pages;
     SsdModel ssd(scfg);
     NvramState nvram(kPageSize, 255);
-    PolicyConfig cfg;
+    PolicyConfig cfg = PolicyConfig::paper();
     cfg.ssd_pages = ssd_pages;
     cfg.metadata_fraction = frac;
     auto kdd = std::make_unique<KddCache>(cfg, &array, &ssd, &nvram);

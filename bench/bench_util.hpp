@@ -30,7 +30,7 @@ struct SweepPoint {
 inline CacheStats run_policy_on_trace(PolicyKind kind, double locality_mean,
                                       std::uint64_t ssd_pages, const Trace& trace,
                                       const RaidGeometry& geo) {
-  PolicyConfig cfg;
+  PolicyConfig cfg = PolicyConfig::paper();
   cfg.ssd_pages = ssd_pages;
   cfg.delta_ratio_mean = locality_mean;
   auto policy = make_policy(kind, cfg, geo);

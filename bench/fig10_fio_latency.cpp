@@ -27,7 +27,7 @@ int main() {
     double nossd_ms = 0, wt_ms = 0, kdd_ms = 0;
     for (const PolicyKind kind : {PolicyKind::kNossd, PolicyKind::kWA, PolicyKind::kWT,
                                   PolicyKind::kLeavO, PolicyKind::kKdd}) {
-      PolicyConfig cfg;
+      PolicyConfig cfg = PolicyConfig::paper();
       cfg.ssd_pages = cache_pages;
       cfg.delta_ratio_mean = 0.25;
       auto policy = make_policy(kind, cfg, geo);
@@ -59,7 +59,7 @@ int main() {
   for (const unsigned qd : {16u, 64u, 256u}) {
     double nossd_ms = 0, kdd_ms = 0;
     for (const PolicyKind kind : {PolicyKind::kNossd, PolicyKind::kKdd}) {
-      PolicyConfig cfg;
+      PolicyConfig cfg = PolicyConfig::paper();
       cfg.ssd_pages = cache_pages;
       cfg.delta_ratio_mean = 0.25;
       auto policy = make_policy(kind, cfg, geo);

@@ -25,7 +25,7 @@ int main() {
     double wt = 0, leavo = 0, kdd = 0;
     for (const PolicyKind kind :
          {PolicyKind::kWA, PolicyKind::kWT, PolicyKind::kLeavO, PolicyKind::kKdd}) {
-      PolicyConfig cfg;
+      PolicyConfig cfg = PolicyConfig::paper();
       cfg.ssd_pages = cache_pages;
       cfg.delta_ratio_mean = 0.25;
       auto policy = make_policy(kind, cfg, geo);
@@ -59,7 +59,7 @@ int main() {
   for (const unsigned qd : {16u, 64u, 256u}) {
     double wt = 0, kdd = 0;
     for (const PolicyKind kind : {PolicyKind::kWT, PolicyKind::kKdd}) {
-      PolicyConfig cfg;
+      PolicyConfig cfg = PolicyConfig::paper();
       cfg.ssd_pages = cache_pages;
       cfg.delta_ratio_mean = 0.25;
       auto policy = make_policy(kind, cfg, geo);

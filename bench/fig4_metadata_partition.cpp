@@ -32,7 +32,7 @@ int main() {
           cache_frac * static_cast<double>(tstats.unique_pages_total));
       std::vector<std::string> row{bench::kpages(ssd_pages)};
       for (const double meta_frac : fractions) {
-        PolicyConfig cfg;
+        PolicyConfig cfg = PolicyConfig::paper();
         cfg.ssd_pages = ssd_pages;
         cfg.metadata_fraction = meta_frac;
         cfg.delta_ratio_mean = 0.25;  // medium content locality, as in the paper

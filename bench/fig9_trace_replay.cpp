@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     double nossd_ms = 0, kdd_ms = 0;
     for (const PolicyKind kind : {PolicyKind::kNossd, PolicyKind::kWA, PolicyKind::kWT,
                                   PolicyKind::kLeavO, PolicyKind::kKdd}) {
-      PolicyConfig cfg;
+      PolicyConfig cfg = PolicyConfig::paper();
       cfg.ssd_pages = cache_pages;
       cfg.delta_ratio_mean = 0.25;
       const RaidGeometry geo = paper_geometry(compute_stats(trace).max_page);

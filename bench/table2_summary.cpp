@@ -26,7 +26,7 @@ int main() {
   const PolicyKind kinds[] = {PolicyKind::kWT, PolicyKind::kWA, PolicyKind::kLeavO,
                               PolicyKind::kKdd};
   for (int i = 0; i < 4; ++i) {
-    PolicyConfig cfg;
+    PolicyConfig cfg = PolicyConfig::paper();
     cfg.ssd_pages = cache_pages;
     cfg.delta_ratio_mean = 0.25;
     auto policy = make_policy(kinds[i], cfg, geo);

@@ -194,6 +194,15 @@ void validate_prometheus_file(const std::string& dir, const std::string& file,
       check(type_families.count(family) > 0,
             file + ": missing family " + family);
     }
+    // Residency: misses the ghost window deferred, and destaged old pages
+    // kept as clean or dropped. Each family must carry its TYPE and HELP
+    // lines (the family loop above rejects a HELP-less one).
+    for (const char* family :
+         {"kdd_admissions_deferred_total", "kdd_reclaim_kept_total",
+          "kdd_reclaim_dropped_total"}) {
+      check(type_families.count(family) > 0,
+            file + ": missing family " + family);
+    }
     check(values["kdd_write_miss_rcw_total"] > 0,
           file + ": kdd_write_miss_rcw_total is 0: no write miss "
                  "reconstruct-wrote from cached row-mates");

@@ -78,7 +78,11 @@ MetadataLog::MetadataLog(CacheSsd* ssd, NvramState* nvram, CacheSets* sets,
 
 void MetadataLog::add_entry(const MetadataEntry& entry, IoPlan* plan) {
   nvram_->metadata.put(entry);
-  if (nvram_->metadata.full()) commit_buffer(plan);
+  // After a failed page write, a full buffer waits for another page's worth
+  // of entries before it retries: while the log cannot be written, every
+  // entry would otherwise cost a doomed page write.
+  if (entries_until_retry_ > 0) --entries_until_retry_;
+  if (nvram_->metadata.full() && entries_until_retry_ == 0) commit_buffer(plan);
 }
 
 void MetadataLog::commit_buffer(IoPlan* plan) {
@@ -111,8 +115,11 @@ IoStatus MetadataLog::commit_page(std::size_t n, IoPlan* plan) {
     // stops before this slot, so its entries must stay in NVRAM.
     KDD_LOG(Warn, "metadata log: page seq=%llu not written (%s), %zu entries kept",
             static_cast<unsigned long long>(seq), to_string(st), n);
+    ++failed_page_writes_;
+    entries_until_retry_ = kEntriesPerPage;
     return st;
   }
+  entries_until_retry_ = 0;
   std::vector<MetadataEntry> entries = nvram_->metadata.take_front(n);
   ++pages_written_;
   for (const MetadataEntry& e : entries) {

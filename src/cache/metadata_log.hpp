@@ -26,18 +26,23 @@ class MetadataLog {
               double gc_threshold = 0.90);
 
   /// Buffers a mapping entry; commits a full buffer to the log tail and runs
-  /// GC as needed. The slot's `home_log_page` is updated on commit.
+  /// GC as needed. The slot's `home_log_page` is updated on commit. After a
+  /// failed page write the next attempt waits for kEntriesPerPage more
+  /// entries.
   void add_entry(const MetadataEntry& entry, IoPlan* plan);
 
-  /// Forces the (possibly partial) buffer out to the log (shutdown/flush).
-  /// Entries leave NVRAM only once their page is on the media: a failed page
-  /// write keeps them (and every later entry) buffered and the tail in place.
+  /// Forces the (possibly partial) buffer out to the log (shutdown/flush),
+  /// retrying at once after a failure. Entries leave NVRAM only once their
+  /// page is on the media: a failed page write keeps them (and every later
+  /// entry) buffered and the tail in place.
   void commit_buffer(IoPlan* plan);
 
   std::uint64_t used_pages() const { return nvram_->log_tail - nvram_->log_head; }
   std::uint64_t partition_pages() const { return ssd_->metadata_pages(); }
   std::uint64_t pages_written() const { return pages_written_; }
   std::uint64_t gc_passes() const { return gc_passes_; }
+  /// Log page writes that did not reach the media.
+  std::uint64_t failed_page_writes() const { return failed_page_writes_; }
   /// Log pages replay could not use at all (unreadable, wrong sequence
   /// number, or corrupt header — e.g. a torn write that persisted nothing).
   std::uint64_t bad_pages_skipped() const { return bad_pages_skipped_; }
@@ -84,6 +89,8 @@ class MetadataLog {
   bool in_gc_ = false;
   std::uint64_t pages_written_ = 0;
   std::uint64_t gc_passes_ = 0;
+  std::uint64_t failed_page_writes_ = 0;
+  std::size_t entries_until_retry_ = 0;  ///< add_entry backoff after a failure
   std::uint64_t bad_pages_skipped_ = 0;
   std::uint64_t torn_entries_dropped_ = 0;
   /// In-memory mirror of committed pages, keyed by monotonic page counter.

@@ -32,6 +32,7 @@ void CacheSets::set_state(std::uint32_t idx, PageState next) {
   }
   if (next == PageState::kDelta) ++dez_count_[set];
   if (prev == PageState::kClean) lru_remove(idx);
+  if (next == PageState::kOld) s.referenced = false;
   s.state = next;
   if (next == PageState::kClean) lru_insert_head(idx);
 }
@@ -102,6 +103,7 @@ void CacheSets::lru_touch(std::uint32_t idx) {
 void CacheSets::reset_slot(std::uint32_t idx) {
   set_state(idx, PageState::kFree);
   CacheSlot& s = slots_[idx];
+  s.referenced = false;
   s.lba = kInvalidLba;
   s.dez_idx = kNone;
   s.dez_off = s.dez_len = 0;

@@ -35,6 +35,9 @@ class CacheSets {
 
   struct CacheSlot {
     PageState state = PageState::kFree;
+    /// KDD old: read, or written again, since it turned old. Destage keeps
+    /// such a page as clean under Residency::kReReferenced.
+    bool referenced = false;
     Lba lba = kInvalidLba;            ///< RAID page cached here (data slots)
     std::uint32_t dez_idx = kNone;    ///< KDD old: slot index of the DEZ page
     std::uint16_t dez_off = 0;        ///< byte offset of the delta in the DEZ page
@@ -59,7 +62,8 @@ class CacheSets {
   std::uint32_t set_of(std::uint32_t idx) const { return idx / ways_; }
 
   /// All state changes go through here so per-set free/DEZ counters stay
-  /// consistent; also maintains LRU membership (kClean slots only).
+  /// consistent; also maintains LRU membership (kClean slots only). A slot
+  /// turning kOld starts unreferenced.
   void set_state(std::uint32_t idx, PageState next);
 
   /// Finds the slot caching `lba` as current data (kClean, kOld or

@@ -31,6 +31,9 @@ struct KddMetrics {
   obs::Counter degraded_delta_folds;  ///< fold-then-retry degraded recoveries
   obs::Counter write_miss_rmw;  ///< write misses by parity path
   obs::Counter write_miss_rcw;
+  obs::Counter admissions_deferred;  ///< misses the ghost window did not admit
+  obs::Counter reclaim_kept;     ///< destaged old pages rewritten as clean
+  obs::Counter reclaim_dropped;  ///< destaged old pages dropped
   obs::Histogram destage_batch_groups;  ///< groups per committed destage batch
   obs::Gauge dez_live_bytes;  ///< delta zone: packed bytes still referenced
   obs::Gauge dez_dead_bytes;  ///< delta zone: holes of superseded deltas
@@ -50,6 +53,10 @@ KddMetrics& kdd_metrics() {
         obs::Counter(&reg, "kdd_degraded_delta_folds_total");
     km->write_miss_rmw = obs::Counter(&reg, "kdd_write_miss_rmw_total");
     km->write_miss_rcw = obs::Counter(&reg, "kdd_write_miss_rcw_total");
+    km->admissions_deferred =
+        obs::Counter(&reg, "kdd_admissions_deferred_total");
+    km->reclaim_kept = obs::Counter(&reg, "kdd_reclaim_kept_total");
+    km->reclaim_dropped = obs::Counter(&reg, "kdd_reclaim_dropped_total");
     km->destage_batch_groups =
         obs::Histogram(&reg, "kdd_destage_batch_groups");
     km->dez_live_bytes = obs::Gauge(&reg, "kdd_dez_live_bytes");
@@ -71,10 +78,8 @@ KddCache::KddCache(const PolicyConfig& config, const RaidGeometry& geo,
       nvram_(nvram ? nvram : owned_nvram_.get()),
       log_(&ssd_, nvram_, &sets_, config.log_gc_threshold),
       sampler_(GaussianRatioSampler::for_mean(config.delta_ratio_mean)),
-      rng_(config.seed) {
-  if (config.selective_admission) {
-    ghost_ = std::make_unique<GhostLru>(sets_.pages());
-  }
+      rng_(config.seed),
+      ghost_(sets_.pages()) {
   dez_space_.reset(sets_.pages());
   refresh_dez_gauges();
 }
@@ -89,10 +94,8 @@ KddCache::KddCache(const PolicyConfig& config, RaidArray* array, SsdModel* ssd,
       nvram_(nvram ? nvram : owned_nvram_.get()),
       log_(&ssd_, nvram_, &sets_, config.log_gc_threshold),
       sampler_(GaussianRatioSampler::for_mean(config.delta_ratio_mean)),
-      rng_(config.seed) {
-  if (config.selective_admission) {
-    ghost_ = std::make_unique<GhostLru>(sets_.pages());
-  }
+      rng_(config.seed),
+      ghost_(sets_.pages()) {
   dez_space_.reset(sets_.pages());
   if (do_recover) recover();
   refresh_dez_gauges();
@@ -145,8 +148,11 @@ bool KddCache::page_down(Lba lba) {
 }
 
 bool KddCache::admit(Lba lba) {
-  if (!ghost_) return true;
-  return ghost_->touch_and_check(lba);
+  if (config_.residency == Residency::kAlwaysAdmit) return true;
+  if (ghost_.touch_and_check(lba)) return true;
+  ++admissions_deferred_;
+  kdd_metrics().admissions_deferred.inc();
+  return false;
 }
 
 void KddCache::note_media_fallback(const char* what) {
@@ -548,6 +554,7 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
     // Old page: combine the DAZ copy with its latest delta (Section III-A).
     // Neither read needs the other's result, so they overlap.
     KDD_DCHECK(slot.state == PageState::kOld);
+    slot.referenced = true;
     PlanFork<2> fork(plan);
     if (ssd_.real()) {
       ScratchPage daz;
@@ -589,7 +596,7 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
     }
   }
   if (st != IoStatus::kOk) return st;
-  if (!admit(lba)) return IoStatus::kOk;  // LARC: first touch stays ghost-only
+  if (!admit(lba)) return IoStatus::kOk;  // first miss stays ghost-only
   const std::uint32_t slot = alloc_daz_slot(set, plan);
   if (slot == CacheSets::kNone) return IoStatus::kOk;  // set pinned solid
   if (ssd_.write_data(slot, SsdWriteKind::kReadFill, out, plan) != IoStatus::kOk) {
@@ -893,6 +900,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     return IoStatus::kOk;
   }
   invalidate_delta(idx, plan);
+  slot.referenced = true;
   stage_delta(lba, idx, std::move(info), fork.lane(kSsdWriteLane));
   fork.join();
   maybe_clean(plan);
@@ -1219,54 +1227,63 @@ void KddCache::destage_commit(BatchUnit& unit, IoPlan* plan) {
     reclaimable.push_back(gw);
   }
 
-  // Pass 2 — reclaim (Section III-D): scheme 1 rewrites the combined page as
-  // clean (DAZ base ^ raw XOR, using the diff fold() already produced);
-  // scheme 2 drops old pages and their deltas.
+  // Pass 2 — reclaim (Section III-D): scheme 1 keeps a re-referenced old
+  // page as clean; scheme 2 drops the rest with their deltas.
+  const bool keep_referenced = config_.residency == Residency::kReReferenced;
   ScratchPage reclaim_sp;  // hoisted: one borrow for the whole reclaim loop
   for (BatchUnit::GroupWork* gw : reclaimable) {
     for (BatchUnit::PageWork& pw : gw->pages) {
-      CacheSets::CacheSlot& s = sets_.slot(pw.daz_idx);
-      if (config_.reclaim_as_clean) {
-        if (real) {
-          Page& current = *reclaim_sp;
-          const bool readable =
-              pw.have_blob &&
-              ssd_.read_data(pw.daz_idx, current, plan) == IoStatus::kOk;
-          if (!readable) {
-            // Cannot rebuild the combined page: fall back to scheme-2 drop
-            // (parity for the group is already up to date at this point).
-            note_media_fallback("combined page unreadable at reclaim");
-            invalidate_delta(pw.daz_idx, plan);
-            drop_old_page(pw.daz_idx, plan);
-            continue;
-          }
-          xor_into(current, pw.xor_diff);
-          invalidate_delta(pw.daz_idx, plan);
-          if (ssd_.write_data(pw.daz_idx, SsdWriteKind::kWriteUpdate, current,
-                              plan) != IoStatus::kOk) {
-            note_media_fallback("reclaim rewrite failed");
-            drop_old_page(pw.daz_idx, plan);
-            continue;
-          }
-        } else {
-          ssd_.read_data(pw.daz_idx, {}, plan);
-          charge_delta_read(s, plan);
-          invalidate_delta(pw.daz_idx, plan);
-          ssd_.write_data(pw.daz_idx, SsdWriteKind::kWriteUpdate, {}, plan);
-        }
-        sets_.set_state(pw.daz_idx, PageState::kClean);
-        add_map_entry(pw.daz_idx, plan);
-        note_group_repair(raid_.layout().group_of(s.lba));
-        --old_pages_;
-      } else {
-        invalidate_delta(pw.daz_idx, plan);
-        drop_old_page(pw.daz_idx, plan);
+      if (!keep_referenced || !sets_.slot(pw.daz_idx).referenced ||
+          !reclaim_as_clean(pw, *reclaim_sp, plan)) {
+        reclaim_drop(pw.daz_idx, plan);
       }
     }
     ++stats_.groups_cleaned;
   }
 
   refresh_dez_gauges();
+}
+
+bool KddCache::reclaim_as_clean(const BatchUnit::PageWork& pw, Page& scratch,
+                                IoPlan* plan) {
+  CacheSets::CacheSlot& s = sets_.slot(pw.daz_idx);
+  if (ssd_.real()) {
+    // The combined page is the DAZ base ^ raw XOR, using the diff fold()
+    // already produced.
+    if (!pw.have_blob || ssd_.read_data(pw.daz_idx, scratch, plan) != IoStatus::kOk) {
+      // Parity for the group is already up to date: dropping is safe.
+      note_media_fallback("combined page unreadable at reclaim");
+      return false;
+    }
+    xor_into(scratch, pw.xor_diff);
+    invalidate_delta(pw.daz_idx, plan);
+    if (ssd_.write_data(pw.daz_idx, SsdWriteKind::kWriteUpdate, scratch, plan) !=
+        IoStatus::kOk) {
+      note_media_fallback("reclaim rewrite failed");
+      return false;
+    }
+  } else {
+    ssd_.read_data(pw.daz_idx, {}, plan);
+    charge_delta_read(s, plan);
+    invalidate_delta(pw.daz_idx, plan);
+    ssd_.write_data(pw.daz_idx, SsdWriteKind::kWriteUpdate, {}, plan);
+  }
+  sets_.set_state(pw.daz_idx, PageState::kClean);
+  add_map_entry(pw.daz_idx, plan);
+  note_group_repair(raid_.layout().group_of(s.lba));
+  --old_pages_;
+  ++reclaim_kept_;
+  kdd_metrics().reclaim_kept.inc();
+  return true;
+}
+
+void KddCache::reclaim_drop(std::uint32_t daz_idx, IoPlan* plan) {
+  const Lba lba = sets_.slot(daz_idx).lba;
+  invalidate_delta(daz_idx, plan);
+  drop_old_page(daz_idx, plan);
+  if (config_.residency == Residency::kReReferenced) ghost_.remember(lba);
+  ++reclaim_dropped_;
+  kdd_metrics().reclaim_dropped.inc();
 }
 
 void KddCache::flush(IoPlan* plan) {

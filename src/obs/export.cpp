@@ -36,6 +36,10 @@ const char* help_for(std::string_view family) {
       {"kdd_slo_latency_burn", "slow-window latency SLO burn rate x1000"},
       {"kdd_hit_ratio_permille", "rolling fast-window cache hit ratio, permille"},
       {"kdd_wear_skew_permille", "max/mean per-region SSD wear ratio, permille"},
+      {"kdd_admissions_deferred_total",
+       "cache misses the ghost window did not admit (first miss)"},
+      {"kdd_reclaim_kept_total", "destaged old pages rewritten in place as clean"},
+      {"kdd_reclaim_dropped_total", "destaged old pages dropped with their deltas"},
   };
   for (const Entry& e : kTable) {
     if (e.family == family) return e.help;

@@ -49,9 +49,11 @@ RaidGeometry small_geo() {
 }
 
 /// Config whose watermarks never trigger inline cleaning, so tests can drive
-/// the destage pipeline by hand without maybe_clean interfering.
+/// the destage pipeline by hand without maybe_clean interfering. The paper's
+/// residency admits on first touch, so one write miss plus one hit dirties
+/// a group.
 PolicyConfig manual_config() {
-  PolicyConfig cfg;
+  PolicyConfig cfg = PolicyConfig::paper();
   cfg.ssd_pages = 256;
   cfg.ways = 8;
   cfg.clean_high_watermark = 1.0;

@@ -23,8 +23,9 @@ RaidGeometry small_geo() {
   return geo;
 }
 
-PolicyConfig small_config() {
-  PolicyConfig cfg;
+/// A 256-page cache SSD; pass PolicyConfig::paper() for the paper's
+/// always-admit residency.
+PolicyConfig small_config(PolicyConfig cfg = {}) {
   cfg.ssd_pages = 256;
   cfg.ways = 8;
   return cfg;
@@ -205,7 +206,7 @@ TEST(KddConfig, SingleSetCacheWorks) {
 }
 
 TEST(KddConfig, HugeStagingBufferDefersCommits) {
-  PolicyConfig cfg = small_config();
+  PolicyConfig cfg = small_config(PolicyConfig::paper());
   cfg.ssd_pages = 512;
   cfg.staging_buffer_bytes = 64 * kPageSize;
   KddCache kdd(cfg, small_geo());

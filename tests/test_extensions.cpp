@@ -3,6 +3,8 @@
 // thread, trace analysis, and KDD over RAID-6.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <thread>
 
 #include "cache/ghost_lru.hpp"
@@ -31,8 +33,9 @@ RaidGeometry small_geo(RaidLevel level = RaidLevel::kRaid5,
   return geo;
 }
 
-PolicyConfig small_config() {
-  PolicyConfig cfg;
+/// A 256-page cache SSD; pass PolicyConfig::paper() for the paper's
+/// always-admit residency.
+PolicyConfig small_config(PolicyConfig cfg = {}) {
   cfg.ssd_pages = 256;
   cfg.ways = 8;
   return cfg;
@@ -67,10 +70,47 @@ TEST(GhostLru, EraseRemovesEntry) {
   ghost.erase(99);  // erasing an absent key is fine
 }
 
+TEST(GhostLru, MatchesAReferenceWindowUnderRandomOps) {
+  // The window holds the last `capacity` recorded misses. A hit or an erase
+  // consumes its entry; remember() records an address the window lacks.
+  constexpr std::size_t kCap = 300;
+  GhostLru ghost(kCap);
+  std::deque<std::pair<Lba, bool>> ref;  // recorded misses, oldest first
+  const auto record = [&](Lba lba) {
+    ref.emplace_back(lba, true);
+    if (ref.size() > kCap) ref.pop_front();
+  };
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) {
+    const Lba lba = rng.next_below(1000);
+    const auto it = std::find(ref.begin(), ref.end(), std::make_pair(lba, true));
+    const bool present = it != ref.end();
+    switch (rng.next_below(3)) {
+      case 0:
+        ASSERT_EQ(ghost.touch_and_check(lba), present) << "op " << i;
+        if (present) {
+          it->second = false;
+        } else {
+          record(lba);
+        }
+        break;
+      case 1:
+        ghost.remember(lba);
+        if (!present) record(lba);
+        break;
+      default:
+        ghost.erase(lba);
+        if (present) it->second = false;
+        break;
+    }
+    const auto live = static_cast<std::size_t>(std::count_if(
+        ref.begin(), ref.end(), [](const auto& e) { return e.second; }));
+    ASSERT_EQ(ghost.size(), live) << "op " << i;
+  }
+}
+
 TEST(SelectiveAdmission, OneTouchScanIsNotCached) {
-  PolicyConfig cfg = small_config();
-  cfg.selective_admission = true;
-  KddCache kdd(cfg, small_geo());
+  KddCache kdd(small_config(), small_geo());
   // A pure scan: every page touched once.
   for (Lba lba = 0; lba < 100; ++lba) kdd.read(lba, {}, nullptr);
   EXPECT_EQ(kdd.stats().total_ssd_writes(), 0u);  // nothing admitted
@@ -91,9 +131,8 @@ TEST(SelectiveAdmission, ReducesAllocationWritesOnScanHeavyWorkload) {
   wcfg.total_requests = 40000;
   wcfg.read_rate = 0.8;  // fill-dominated
   auto run = [&](bool larc) {
-    PolicyConfig cfg;
+    PolicyConfig cfg = larc ? PolicyConfig{} : PolicyConfig::paper();
     cfg.ssd_pages = 2048;
-    cfg.selective_admission = larc;
     KddCache kdd(cfg, geo);
     const Trace trace = generate_zipf_trace(wcfg);
     return run_counter_trace(kdd, trace, geo.data_pages()).total_ssd_writes();
@@ -107,9 +146,7 @@ TEST(SelectiveAdmission, RealModeStaysCorrect) {
   SsdConfig scfg;
   scfg.logical_pages = 256;
   SsdModel ssd(scfg);
-  PolicyConfig cfg = small_config();
-  cfg.selective_admission = true;
-  KddCache kdd(cfg, &array, &ssd);
+  KddCache kdd(small_config(), &array, &ssd);
   ReferenceModel model;
   Rng rng(3);
   Page buf = make_page();
@@ -245,7 +282,7 @@ TEST(ConcurrentCache, MultiThreadedReadYourWrites) {
 }
 
 TEST(ConcurrentCache, BackgroundCleanerRunsWhileIdle) {
-  PolicyConfig cfg = small_config();
+  PolicyConfig cfg = small_config(PolicyConfig::paper());
   cfg.clean_high_watermark = 0.95;  // only the idle trigger can clean
   KddCache kdd(cfg, small_geo());
   ConcurrentCache cache(&kdd, &kdd.raid().layout(), std::chrono::milliseconds(2));

@@ -23,8 +23,9 @@ RaidGeometry small_geo() {
   return geo;
 }
 
-PolicyConfig small_config() {
-  PolicyConfig cfg;
+/// A 256-page cache SSD; pass PolicyConfig::paper() for the paper's
+/// always-admit residency.
+PolicyConfig small_config(PolicyConfig cfg = {}) {
   cfg.ssd_pages = 256;
   cfg.ways = 8;
   return cfg;
@@ -42,7 +43,7 @@ SsdConfig small_ssd() {
 // ---------------------------------------------------------------------------
 
 TEST(KddCounter, WriteHitDefersParityAndStagesDelta) {
-  KddCache kdd(small_config(), small_geo());
+  KddCache kdd(small_config(PolicyConfig::paper()), small_geo());
   kdd.read(5, {}, nullptr);  // admit clean
   IoPlan plan;
   kdd.write(5, {}, &plan);
@@ -77,7 +78,7 @@ TEST(KddCounter, WriteMissUsesConventionalParityUpdate) {
 }
 
 TEST(KddCounter, StagingCommitPacksMultipleDeltasPerPage) {
-  PolicyConfig cfg = small_config();
+  PolicyConfig cfg = small_config(PolicyConfig::paper());
   cfg.delta_ratio_mean = 0.12;  // high content locality: ~500 B deltas
   KddCache kdd(cfg, small_geo());
   // Create many write hits so staging overflows into DEZ pages.
@@ -381,7 +382,7 @@ Page changed(const Page& page, std::uint64_t seed, std::size_t bytes = 64) {
 /// on the array and nothing in the cache.
 struct RowMateRig {
   explicit RowMateRig(GroupId group) : array(small_geo()), ssd(small_ssd()), g(group) {
-    kdd = std::make_unique<KddCache>(small_config(), &array, &ssd);
+    kdd = std::make_unique<KddCache>(small_config(PolicyConfig::paper()), &array, &ssd);
     for (std::uint32_t k = 0; k < small_geo().data_disks(); ++k) {
       const Lba lba = member(k);
       EXPECT_EQ(array.write_page(lba, test_page(lba)), IoStatus::kOk);
@@ -528,30 +529,98 @@ TEST(KddReal, RangeBarrierReconstructsAFullyCachedGroup) {
 }
 
 TEST(KddReal, ReclaimAsCleanKeepsPagesCached) {
+  // Default residency: a page read while old survives destage as clean
+  // (scheme 1), and its next read hits.
   const RaidGeometry geo = small_geo();
-  PolicyConfig cfg = small_config();
-  cfg.reclaim_as_clean = true;
   RaidArray array(geo);
   SsdModel ssd(small_ssd());
-  KddCache kdd(cfg, &array, &ssd);
+  KddCache kdd(small_config(), &array, &ssd);
   const ContentGenerator gen(12);
   Rng rng(13);
 
   const Lba lba = 9;
   Page cur = gen.base_page(lba);
-  ASSERT_EQ(kdd.write(lba, cur, nullptr), IoStatus::kOk);
+  ASSERT_EQ(kdd.write(lba, cur, nullptr), IoStatus::kOk);  // ghost only
+  ASSERT_EQ(kdd.write(lba, cur, nullptr), IoStatus::kOk);  // second miss admits
   cur = gen.mutate(cur, 0.2, rng);
   ASSERT_EQ(kdd.write(lba, cur, nullptr), IoStatus::kOk);
   EXPECT_EQ(kdd.old_pages(), 1u);
+  Page buf = make_page();
+  ASSERT_EQ(kdd.read(lba, buf, nullptr), IoStatus::kOk);  // re-referenced
+  EXPECT_EQ(buf, cur);
   kdd.flush(nullptr);
   EXPECT_EQ(kdd.old_pages(), 0u);
-  // Scheme 1: the page stays cached as clean and the next read hits.
+  EXPECT_EQ(kdd.reclaim_kept(), 1u);
+  EXPECT_EQ(kdd.reclaim_dropped(), 0u);
   const std::uint64_t hits_before = kdd.stats().read_hits;
-  Page buf = make_page();
   ASSERT_EQ(kdd.read(lba, buf, nullptr), IoStatus::kOk);
   EXPECT_EQ(buf, cur);
   EXPECT_EQ(kdd.stats().read_hits, hits_before + 1);
   EXPECT_TRUE(array.scrub().empty());
+  kdd.check_invariants();
+}
+
+// ---------------------------------------------------------------------------
+// Residency (PolicyConfig::residency)
+// ---------------------------------------------------------------------------
+
+TEST(KddResidency, UnreferencedPageIsDroppedAndItsFirstReMissReadmits) {
+  const RaidGeometry geo = small_geo();
+  RaidArray array(geo);
+  SsdModel ssd(small_ssd());
+  KddCache kdd(small_config(), &array, &ssd);
+  const Lba lba = 9;
+  const Page v0 = test_page(lba);
+  const Page v1 = changed(v0, 1);
+  ASSERT_EQ(kdd.write(lba, v0, nullptr), IoStatus::kOk);
+  ASSERT_EQ(kdd.write(lba, v0, nullptr), IoStatus::kOk);
+  ASSERT_EQ(kdd.write(lba, v1, nullptr), IoStatus::kOk);  // clean -> old
+  ASSERT_EQ(kdd.old_pages(), 1u);
+  kdd.flush(nullptr);
+  EXPECT_EQ(kdd.reclaim_kept(), 0u);
+  EXPECT_EQ(kdd.reclaim_dropped(), 1u);
+  EXPECT_EQ(slot_of(kdd, lba), CacheSets::kNone);
+  EXPECT_TRUE(array.scrub().empty());
+
+  // The drop left the address in the ghost window: the first re-miss
+  // admits without a deferral, and the read after it hits.
+  const std::uint64_t deferred = kdd.admissions_deferred();
+  const CacheStats before = kdd.stats();
+  Page buf = make_page();
+  ASSERT_EQ(kdd.read(lba, buf, nullptr), IoStatus::kOk);
+  EXPECT_EQ(buf, v1);
+  EXPECT_EQ(kdd.stats().read_misses, before.read_misses + 1);
+  EXPECT_EQ(kdd.admissions_deferred(), deferred);
+  EXPECT_NE(slot_of(kdd, lba), CacheSets::kNone);
+  ASSERT_EQ(kdd.read(lba, buf, nullptr), IoStatus::kOk);
+  EXPECT_EQ(buf, v1);
+  EXPECT_EQ(kdd.stats().read_hits, before.read_hits + 1);
+  kdd.check_invariants();
+}
+
+TEST(KddResidency, OneTouchScanIsNotAdmitted) {
+  // One pass of reads and one of writes over disjoint pages, each touched
+  // once. The default defers every miss and writes no data page to the
+  // cache SSD; the paper profile admits every one.
+  for (const bool paper : {false, true}) {
+    RaidArray array(small_geo());
+    SsdModel ssd(small_ssd());
+    KddCache kdd(paper ? small_config(PolicyConfig::paper()) : small_config(),
+                 &array, &ssd);
+    Page buf = make_page();
+    for (Lba lba = 0; lba < 64; ++lba) {
+      ASSERT_EQ(kdd.read(lba, buf, nullptr), IoStatus::kOk);
+    }
+    for (Lba lba = 64; lba < 128; ++lba) {
+      ASSERT_EQ(kdd.write(lba, test_page(lba), nullptr), IoStatus::kOk);
+    }
+    const CacheStats s = kdd.stats();
+    const std::uint64_t admitted = paper ? 64u : 0u;
+    EXPECT_EQ(kdd.admissions_deferred(), paper ? 0u : 128u);
+    EXPECT_EQ(s.ssd_writes[static_cast<int>(SsdWriteKind::kReadFill)], admitted);
+    EXPECT_EQ(s.ssd_writes[static_cast<int>(SsdWriteKind::kWriteAlloc)], admitted);
+    EXPECT_TRUE(array.scrub().empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -647,10 +716,18 @@ TEST(KddFailure, FailedMetadataLogWriteKeepsItsEntriesInNvram) {
   // The cache SSD loses power, the array does not: the flush destages every
   // dirty group, and none of the log pages recording that lands.
   FaultInjectingDevice* faults = rig.kdd->cache_ssd().faults();
+  const std::uint64_t failed = rig.kdd->metadata_log().failed_page_writes();
   faults->rail()->cut();
   rig.kdd->flush(nullptr);
   EXPECT_EQ(rig.nvram.log_tail, tail);
   EXPECT_FALSE(rig.nvram.metadata.empty());
+  // The buffer overflows its 16 entries, but a full buffer retries only
+  // after another log page's worth of entries: fewer than that arrived, so
+  // the flush made at most the first failed attempt, no retry, and its own
+  // final one.
+  ASSERT_LT(rig.nvram.metadata.size(), MetadataLog::kEntriesPerPage);
+  EXPECT_GT(rig.nvram.metadata.size(), cfg.metadata_buffer_entries);
+  EXPECT_LE(rig.kdd->metadata_log().failed_page_writes() - failed, 2u);
 
   faults->power_restore();
   rig.kdd = std::make_unique<KddCache>(cfg, &rig.array, &rig.ssd, &rig.nvram,
@@ -700,7 +777,7 @@ TEST(KddFailure, MixedGenerationAuditHealsGroupsThatStayDirty) {
   // self-inconsistent, so recovery drops every mapping into it, m0's too.
   // g stays dirty through m1; destaging m1's delta alone would leave m0's
   // update out of parity.
-  CrashRig rig;
+  CrashRig rig(small_config(PolicyConfig::paper()));
   const RaidLayout& layout = rig.array.layout();
   const GroupId g = 7;
   const Lba m0 = layout.group_member(g, 0);
@@ -732,13 +809,61 @@ TEST(KddFailure, MixedGenerationAuditHealsGroupsThatStayDirty) {
   stale.dez_len = a.dez_len;
   rig.nvram.metadata.put(stale);
 
-  rig.kdd = std::make_unique<KddCache>(small_config(), &rig.array, &rig.ssd,
+  rig.kdd = std::make_unique<KddCache>(small_config(PolicyConfig::paper()), &rig.array, &rig.ssd,
                                        &rig.nvram, /*recover=*/true);
   rig.kdd->check_invariants();
   rig.verify_reads();
   rig.kdd->flush(nullptr);
   EXPECT_TRUE(rig.array.scrub().empty());
   rig.kdd->check_invariants();
+  rig.verify_reads();
+}
+
+TEST(KddFailure, TornReclaimRewriteIsHealedByTheRecoveryAudit) {
+  // Default residency: destage rewrites a re-referenced old page in place as
+  // clean. The power cut tears that rewrite, the first cache-SSD write of
+  // the flush, after the destage brought the group's parity up to date.
+  CrashRig rig;
+  const Lba lba = 9;
+  const Page v0 = test_page(lba);
+  // The update lands in the last sector, which a torn write never persists:
+  // the torn page is neither version.
+  Page v1 = v0;
+  for (std::size_t b = kPageSize - 64; b < kPageSize; ++b) v1[b] ^= 0x5a;
+  rig.model.write(lba, v1);
+  ASSERT_EQ(rig.kdd->write(lba, v0, nullptr), IoStatus::kOk);
+  ASSERT_EQ(rig.kdd->write(lba, v0, nullptr), IoStatus::kOk);
+  ASSERT_EQ(rig.kdd->write(lba, v1, nullptr), IoStatus::kOk);
+  Page buf = make_page();
+  ASSERT_EQ(rig.kdd->read(lba, buf, nullptr), IoStatus::kOk);  // re-referenced
+  const std::uint32_t slot = slot_of(*rig.kdd, lba);
+  ASSERT_NE(slot, CacheSets::kNone);
+  ASSERT_EQ(rig.kdd->sets().slot(slot).dez_idx, CacheSets::kStaged);
+  ASSERT_EQ(rig.kdd->stale_groups(), 1u);
+
+  // NVRAM as it stands when the rewrite tears: the page's only log entry
+  // names it clean, and the reclaim already erased its staged delta.
+  NvramState at_tear = rig.nvram;
+  at_tear.staging.erase(lba);
+
+  FaultInjectingDevice* faults = rig.kdd->cache_ssd().faults();
+  faults->arm_power_cut(0);
+  rig.kdd->flush(nullptr);
+  EXPECT_EQ(faults->last_torn_page(),
+            rig.kdd->cache_ssd().metadata_pages() + slot);
+  EXPECT_EQ(rig.kdd->stale_groups(), 0u);
+
+  // The host dies at the tear: nothing it did afterwards reached NVRAM.
+  faults->power_restore();
+  rig.nvram = at_tear;
+  rig.kdd = std::make_unique<KddCache>(small_config(), &rig.array, &rig.ssd,
+                                       &rig.nvram, /*recover=*/true);
+  EXPECT_EQ(rig.kdd->media_fallbacks(), 1u);  // the torn clean page, retired
+  EXPECT_EQ(slot_of(*rig.kdd, lba), CacheSets::kNone);
+  rig.kdd->check_invariants();
+  rig.verify_reads();
+  rig.kdd->flush(nullptr);
+  EXPECT_TRUE(rig.array.scrub().empty());
   rig.verify_reads();
 }
 

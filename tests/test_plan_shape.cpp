@@ -80,8 +80,10 @@ RaidGeometry shape_geo() {
   return geo;
 }
 
+/// The paper's residency: every miss allocates, so one request shows each
+/// chain (the baselines ignore it).
 PolicyConfig shape_config() {
-  PolicyConfig cfg;
+  PolicyConfig cfg = PolicyConfig::paper();
   cfg.ssd_pages = 1024;
   cfg.ways = 8;
   return cfg;
@@ -397,9 +399,11 @@ std::uint64_t fold_phases(std::uint64_t h, const IoPlan& plan) {
   return h;
 }
 
-ReplayDigest replay(bool prototype, Kind kind) {
+ReplayDigest replay(bool prototype, Kind kind,
+                    Residency residency = Residency::kAlwaysAdmit) {
   PolicyConfig cfg = shape_config();
   cfg.ssd_pages = 256;  // small enough that cleaning and eviction run
+  cfg.residency = residency;
   Rig rig(cfg, prototype, kind);
   IoPlan background;
   rig.policy->set_background_plan(&background);
@@ -449,6 +453,14 @@ TEST(PlanShape, SeededReplaysRecordTheSameOpsAsTheSerialRecording) {
   EXPECT_EQ(replay(true, Kind::kKdd),
             (ReplayDigest{0x7d4b9b188c2e0fe6ull, 0xc1a6bd3b2d3226ebull,
                           0xadb298eff61dfe23ull, 15013, 6}));
+  // The default residency on the same stream: second-miss admission, and
+  // destage keeps re-referenced old pages as clean.
+  EXPECT_EQ(replay(false, Kind::kKdd, Residency::kReReferenced),
+            (ReplayDigest{0x22d2e445d359228cull, 0x5d5f0f10dc0aa0f8ull,
+                          0x35e31c641b310dccull, 12312, 6}));
+  EXPECT_EQ(replay(true, Kind::kKdd, Residency::kReReferenced),
+            (ReplayDigest{0x44c2a98a3e7bbee8ull, 0x3eaa97ec2dad6f23ull,
+                          0xbf472163dcf610f2ull, 12165, 5}));
   EXPECT_EQ(replay(false, Kind::kWT),
             (ReplayDigest{0xa0dd759ae33aaa09ull, kNone, kNone, 15082, 0}));
   EXPECT_EQ(replay(false, Kind::kLeavO),

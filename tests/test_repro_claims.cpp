@@ -38,7 +38,7 @@ class PaperClaims : public ::testing::Test {
         const auto ssd_pages = static_cast<std::uint64_t>(
             frac_pct / 100.0 * static_cast<double>(tstats.unique_pages_total));
         auto run = [&](PolicyKind kind, double locality, const std::string& label) {
-          PolicyConfig cfg;
+          PolicyConfig cfg = PolicyConfig::paper();
           cfg.ssd_pages = ssd_pages;
           cfg.delta_ratio_mean = locality;
           auto policy = make_policy(kind, cfg, geo);
@@ -180,7 +180,7 @@ TEST_F(PaperClaims, Fig10_LatencyOrderingUnderZipf) {
                                          {"WA", PolicyKind::kWA},
                                          {"LeavO", PolicyKind::kLeavO},
                                          {"KDD", PolicyKind::kKdd}}) {
-    PolicyConfig cfg;
+    PolicyConfig cfg = PolicyConfig::paper();
     cfg.ssd_pages = 8192;
     cfg.delta_ratio_mean = 0.25;
     auto policy = make_policy(kind, cfg, geo);
@@ -204,7 +204,7 @@ TEST_F(PaperClaims, Fig10_LatencyOrderingUnderZipf) {
 TEST_F(PaperClaims, Fig10_WtBeatsNossdOnlyAtHighReadRates) {
   const RaidGeometry geo = paper_geometry(30000);
   auto run = [&](PolicyKind kind, double read_rate) {
-    PolicyConfig cfg;
+    PolicyConfig cfg = PolicyConfig::paper();
     cfg.ssd_pages = 8192;
     auto policy = make_policy(kind, cfg, geo);
     EventSimulator sim(paper_sim_config(geo.num_disks), policy.get());
@@ -238,7 +238,7 @@ TEST_F(PaperClaims, Fig9_TraceReplayOrdering) {
                                            {"WT", PolicyKind::kWT},
                                            {"LeavO", PolicyKind::kLeavO},
                                            {"KDD", PolicyKind::kKdd}}) {
-      PolicyConfig cfg;
+      PolicyConfig cfg = PolicyConfig::paper();
       cfg.ssd_pages = static_cast<std::uint64_t>(262144.0 * kScale);
       cfg.delta_ratio_mean = 0.25;
       auto policy = make_policy(kind, cfg, geo);
@@ -271,7 +271,7 @@ TEST_F(PaperClaims, PureReadWorkloadDegradesLeavOAndKddToWt) {
        std::map<std::string, PolicyKind>{{"WT", PolicyKind::kWT},
                                          {"LeavO", PolicyKind::kLeavO},
                                          {"KDD", PolicyKind::kKdd}}) {
-    PolicyConfig cfg;
+    PolicyConfig cfg = PolicyConfig::paper();
     cfg.ssd_pages = 8192;
     auto policy = make_policy(kind, cfg, geo);
     const Trace trace = generate_zipf_trace(wcfg);
@@ -301,7 +301,7 @@ TEST_F(PaperClaims, Fig4_MetadataShareSmallAtDefaultPartition) {
     const Trace trace = generate_preset(w, kScale);
     const TraceStats tstats = compute_stats(trace);
     const RaidGeometry geo = paper_geometry(tstats.max_page);
-    PolicyConfig cfg;
+    PolicyConfig cfg = PolicyConfig::paper();
     cfg.ssd_pages = static_cast<std::uint64_t>(
         0.2 * static_cast<double>(tstats.unique_pages_total));
     cfg.delta_ratio_mean = 0.25;
